@@ -31,7 +31,7 @@ def _tree_args(p: argparse.ArgumentParser) -> None:
                    help="sparsity threshold (default 8)")
 
 
-def _workload_args(p: argparse.ArgumentParser, reclaim: str) -> None:
+def _workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ops", type=int, default=100_000,
                    help="operations per thread (default 100000)")
     p.add_argument("--range", type=int, default=1 << 16, dest="key_range",
@@ -39,19 +39,16 @@ def _workload_args(p: argparse.ArgumentParser, reclaim: str) -> None:
     p.add_argument("--mix", default="50:25:25",
                    help="search:insert:remove weights (default 50:25:25)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reclaim", choices=("never", "epoch"), default=reclaim,
-                   help=f"retired node handling (default {reclaim})")
 
 
-def _run_config(args, threads=None, duration=0.0,
-                trace="") -> harness.RunConfig:
+def _run_config(args, threads=None, duration=0.0) -> harness.RunConfig:
     return harness.RunConfig(
         order=args.order, leaf_capacity=args.leaf_cap,
         min_size=args.min_size,
         threads=args.threads if threads is None else threads,
         ops_per_thread=args.ops, key_range=args.key_range,
         mix=harness.parse_mix(args.mix), seed=args.seed,
-        duration=duration, reclaim=args.reclaim, trace=trace)
+        duration=duration)
 
 
 def _show(title: str, items) -> None:
@@ -63,15 +60,15 @@ def _show(title: str, items) -> None:
 
 
 def cmd_stress(args) -> int:
-    cfg = _run_config(args, trace=args.trace or "")
+    cfg = _run_config(args)
     result = harness.run_stress(cfg)
     print(result.summary())
-    if cfg.trace:
-        write_trace(cfg.trace, result.records,
+    if args.trace:
+        write_trace(args.trace, result.records,
                     comment=f"lftree stress seed={cfg.seed} "
                             f"threads={cfg.threads} "
                             f"ops-per-thread={cfg.ops_per_thread}")
-        print(f"trace written to {cfg.trace}")
+        print(f"trace written to {args.trace}")
     if result.ok:
         print("all checks passed")
         return 0
@@ -126,15 +123,14 @@ def cmd_schedules(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    thread_counts = [int(t) for t in args.threads.split(",")]
-    if not thread_counts or min(thread_counts) < 1:
-        raise ValueError(f"bad thread list: {args.threads!r}")
-    if args.duration <= 0:
-        raise ValueError(f"duration must be positive: {args.duration}")
-    print(f"{'threads':>8} {'ops':>10} {'elapsed':>9} {'ops/s':>12}")
-    for n in thread_counts:
-        row = harness.run_bench(_run_config(args, threads=n,
-                                            duration=args.duration))
+    # every config is checked before any output; the header waits for the
+    # first row, so a run_bench refusal leaves no partial table either
+    configs = [_run_config(args, threads=int(n), duration=args.duration)
+               for n in args.threads.split(",")]
+    for i, cfg in enumerate(configs):
+        row = harness.run_bench(cfg)
+        if i == 0:
+            print(f"{'threads':>8} {'ops':>10} {'elapsed':>9} {'ops/s':>12}")
         print(f"{row['threads']:>8} {row['ops']:>10} "
               f"{row['elapsed']:>8.2f}s {row['ops_per_sec']:>12,.0f}")
         if row["structure_violations"]:
@@ -191,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stress", help="threaded run with full verification")
     _tree_args(p)
-    _workload_args(p, reclaim="never")
+    _workload_args(p)
     p.add_argument("--threads", type=int, default=8)
     p.add_argument("--trace", help="write the op history to this file")
     p.set_defaults(func=cmd_stress)
@@ -216,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="throughput measurement")
     _tree_args(p)
-    _workload_args(p, reclaim="epoch")
+    _workload_args(p)
     p.add_argument("--threads", default="1,2,4,8",
                    help="comma-separated thread counts (default 1,2,4,8)")
     p.add_argument("--duration", type=float, default=1.0,

@@ -6,7 +6,8 @@ after the fact: recorded history against the interval contracts, the
 final snapshot against the net insert/remove balance, and the structural
 invariants. Workloads are pregenerated so the timed loop does nothing but
 operations and record appends; with a duration set, each thread cycles
-its workload until the deadline.
+its workload until the deadline. Stress and bench run the same loop
+(`_run`); bench only counts operations instead of recording them.
 
 Single-thread runs use a logical clock starting at zero, so the same seed
 produces byte-identical traces. Multi-thread runs use the monotonic clock
@@ -19,6 +20,7 @@ during multi-thread runs to force heavy preemption.
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import sys
 import threading
@@ -61,8 +63,6 @@ class RunConfig:
     mix: tuple = (0.5, 0.25, 0.25)   # search, insert, remove weights
     seed: int = 0
     duration: float = 0.0       # > 0: repeat the workload until the deadline
-    reclaim: str = "never"
-    trace: str = ""             # empty: no trace file
 
     def __post_init__(self):
         TreeConfig(self.order, self.leaf_capacity, self.min_size)
@@ -132,8 +132,6 @@ class StressResult:
     balance_problems: list[str]
     elapsed: float
     stats: dict
-    retired: int
-    reclaimed: int
 
     @property
     def ok(self) -> bool:
@@ -153,17 +151,10 @@ class StressResult:
 
 
 def run_stress(cfg: RunConfig, check: bool = True) -> StressResult:
-    tree = LeafTree(cfg.tree_config(), reclaim=cfg.reclaim)
+    tree = LeafTree(cfg.tree_config())
     workloads = [make_ops(cfg, tid) for tid in range(cfg.threads)]
     buckets: list[list[OpRecord]] = [[] for _ in range(cfg.threads)]
-
-    start = time.perf_counter()
-    with _no_gc():
-        if cfg.threads == 1:
-            _run_logical(tree, 0, workloads[0], buckets[0], cfg.duration)
-        else:
-            _run_threads(tree, workloads, buckets, cfg.duration)
-    elapsed = time.perf_counter() - start
+    _, elapsed = _run_all(tree, workloads, cfg.duration, buckets)
 
     records = [r for bucket in buckets for r in bucket]
     records.sort(key=itemgetter(4, 5, 0))   # (t1, t2, tid)
@@ -177,69 +168,79 @@ def run_stress(cfg: RunConfig, check: bool = True) -> StressResult:
     history = check_history(records) if check else []
     balance = snapshot_consistent(records, snapshot) if check else []
     return StressResult(cfg, records, snapshot, structure, history, balance,
-                        elapsed, tree.stats.snapshot(),
-                        tree.bin.retired, tree.bin.reclaimed)
+                        elapsed, tree.stats.snapshot())
 
 
-def _run_logical(tree: LeafTree, tid: int, ops, out: list,
-                 duration: float = 0.0) -> None:
-    t = 0
+def _run_all(tree: LeafTree, workloads, duration: float,
+             buckets=None) -> tuple[list[int], float]:
+    """Run workload i as thread i, with the cyclic GC off, and return the
+    op count of each thread and the elapsed seconds. One workload runs on
+    the calling thread with a logical clock; several run on real threads
+    started together, at the forced switch interval, on the monotonic
+    clock. With `buckets`, thread i records into buckets[i]."""
+    n = len(workloads)
+    outs = buckets or [None] * n
+    counts = [0] * n
+    start = time.perf_counter()
+    with _no_gc():
+        if n == 1:
+            counts[0] = _run(tree, 0, workloads[0], outs[0],
+                             itertools.count().__next__, duration)
+        else:
+            gate = threading.Barrier(n)
+
+            def work(tid: int):
+                gate.wait()
+                counts[tid] = _run(tree, tid, workloads[tid], outs[tid],
+                                   time.monotonic_ns, duration)
+
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(_SWITCH_INTERVAL)
+            try:
+                threads = [threading.Thread(target=work, args=(tid,),
+                                            daemon=True)
+                           for tid in range(n)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join()
+            finally:
+                sys.setswitchinterval(old)
+    return counts, time.perf_counter() - start
+
+
+def _run(tree: LeafTree, tid: int, ops, out, clock,
+         duration: float) -> int:
+    """The op loop: run `ops` in order, once, or with a duration cycling
+    them until it has passed (checked every 512 ops). With a list `out`,
+    append an OpRecord per op whose t1 < t2 read `clock` around the call,
+    raised where needed to keep this thread's stamps strictly increasing;
+    with None, only count. Returns the number of ops run."""
+    append = None if out is None else out.append
+    new = tuple.__new__  # an OpRecord, minus its Python-level __new__
     deadline = time.perf_counter() + duration if duration > 0 else None
+    last = -1
+    n = 0
     while True:
         for kind, e1, e2 in ops:
-            res = _apply(tree, kind, e1, e2)
-            out.append(OpRecord(tid, kind, e1, e2, t, t + 1, res))
-            t += 2
-            if (deadline is not None and t % 1024 == 0
-                    and time.perf_counter() >= deadline):
-                return
-        if deadline is None or time.perf_counter() >= deadline:
-            return
-
-
-def _run_threads(tree: LeafTree, workloads, buckets,
-                 duration: float = 0.0) -> None:
-    gate = threading.Barrier(len(workloads))
-
-    def work(tid: int):
-        out = buckets[tid]
-        ops = workloads[tid]
-        mono = time.monotonic_ns
-        append = out.append
-        new = tuple.__new__  # an OpRecord, minus its Python-level __new__
-        last = 0
-        deadline = (time.perf_counter() + duration) if duration > 0 else None
-        gate.wait()
-        n = 0
-        while True:
-            for kind, e1, e2 in ops:
-                t1 = mono()
+            if append is None:
+                _apply(tree, kind, e1, e2)
+            else:
+                t1 = clock()
                 if t1 <= last:
                     t1 = last + 1
                 res = _apply(tree, kind, e1, e2)
-                t2 = mono()
+                t2 = clock()
                 if t2 <= t1:
                     t2 = t1 + 1
                 last = t2
                 append(new(OpRecord, (tid, kind, e1, e2, t1, t2, res)))
-                n += 1
-                if (deadline is not None and n % 512 == 0
-                        and time.perf_counter() >= deadline):
-                    return
-            if deadline is None or time.perf_counter() >= deadline:
-                return
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(_SWITCH_INTERVAL)
-    try:
-        threads = [threading.Thread(target=work, args=(tid,), daemon=True)
-                   for tid in range(len(workloads))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-    finally:
-        sys.setswitchinterval(old)
+            n += 1
+            if (deadline is not None and n % 512 == 0
+                    and time.perf_counter() >= deadline):
+                return n
+        if deadline is None or time.perf_counter() >= deadline:
+            return n
 
 
 def _apply(tree: LeafTree, kind: str, e1: int, e2: int) -> int:
@@ -255,43 +256,10 @@ def run_bench(cfg: RunConfig) -> dict:
     configured duration elapses."""
     if cfg.duration <= 0:
         raise ValueError("bench needs a positive duration")
-    tree = LeafTree(cfg.tree_config(), reclaim=cfg.reclaim)
+    tree = LeafTree(cfg.tree_config())
     workloads = [make_ops(cfg, tid) for tid in range(cfg.threads)]
-    done = [0] * cfg.threads
-    gate = threading.Barrier(cfg.threads)
-
-    def work(tid: int):
-        ops = workloads[tid]
-        n = 0
-        gate.wait()
-        deadline = time.perf_counter() + cfg.duration
-        while time.perf_counter() < deadline:
-            for kind, e1, e2 in ops:
-                _apply(tree, kind, e1, e2)
-                n += 1
-                if n % 256 == 0 and time.perf_counter() >= deadline:
-                    break
-        done[tid] = n
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(_SWITCH_INTERVAL)
-    start = time.perf_counter()
-    try:
-        with _no_gc():
-            if cfg.threads == 1:
-                work(0)
-            else:
-                threads = [threading.Thread(target=work, args=(tid,),
-                                            daemon=True)
-                           for tid in range(cfg.threads)]
-                for th in threads:
-                    th.start()
-                for th in threads:
-                    th.join()
-    finally:
-        sys.setswitchinterval(old)
-    elapsed = time.perf_counter() - start
-    total = sum(done)
+    counts, elapsed = _run_all(tree, workloads, cfg.duration)
+    total = sum(counts)
     return {
         "threads": cfg.threads,
         "ops": total,

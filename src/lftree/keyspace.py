@@ -21,24 +21,14 @@ DEAD = RO_BIT
 
 
 def encode(key: int) -> int:
-    """Writable word carrying `key`."""
+    """Writable word carrying `key`. Keys are exactly `int`: a float, a
+    string or a bool (even True, which equals 1) is rejected."""
+    if type(key) is not int:
+        raise ValueError(f"key must be an int, not {type(key).__name__}: "
+                         f"{key!r}")
     if not MIN_KEY <= key <= MAX_KEY:
         raise ValueError(f"key out of range [1, 2**63-1]: {key!r}")
     return key
-
-
-def payload(word: int) -> int:
-    return word & PAYLOAD_MASK
-
-def is_readonly(word: int) -> bool:
-    return bool(word & RO_BIT)
-
-def set_readonly(word: int) -> int:
-    return word | RO_BIT
-
-def is_live(word: int) -> bool:
-    # live = carries a key, read-only or not
-    return bool(word & PAYLOAD_MASK)
 
 
 def pack(key: int, value: int, value_bits: int) -> int:

@@ -26,8 +26,9 @@ residual case harmless. A helper that observes step SWAP but finds the
 child link already pointing at an unfrozen node knows the swap happened and
 only attempts the clear.
 
-Plan records and retirement are the duty of the link-swap winner, which is
-unique; status clearing may be done by anyone.
+Plan records and the count of retired (unlinked) nodes are the duty of the
+link-swap winner, which is unique; status clearing may be done by anyone.
+CPython's GC frees the unlinked nodes once no thread holds them.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class RebalanceStats:
         self.lock = threading.Lock()
         self.begins = 0
         self.link_swaps = 0
+        self.retired = 0        # nodes unlinked by link swaps
         self.clears = 0
         self.helper_clears = 0
         self.records: list[RebalanceRecord] = []
@@ -72,6 +74,7 @@ class RebalanceStats:
             return {
                 "begins": self.begins,
                 "link_swaps": self.link_swaps,
+                "retired": self.retired,
                 "clears": self.clears,
                 "helper_clears": self.helper_clears,
                 "records": list(self.records),
@@ -82,7 +85,7 @@ class RebalanceStats:
 class _Plan:
     new_parent: InternalNode
     record: RebalanceRecord
-    retire: list = field(default_factory=list)
+    retire: list = field(default_factory=list)   # nodes the swap unlinks
 
 
 def live_keys(words) -> list[int]:
@@ -227,9 +230,8 @@ def execute(tree, grand, st, helped: bool = False):
         if cas(links, jp, parent, plan.new_parent):
             with tree.stats.lock:
                 tree.stats.link_swaps += 1
+                tree.stats.retired += len(plan.retire)
                 tree.stats.records.append(plan.record)
-            for node in plan.retire:
-                tree.bin.retire(node)
 
     yield from _clear(tree, grand, live[1], helped)
 

@@ -33,16 +33,13 @@ from .keyspace import (DEAD, EMPTY, MAX_KEY, MIN_KEY, PAYLOAD_MASK, RO_BIT,
                        encode)
 from .nodes import (FROZEN, IDLE, InternalNode, LeafNode, TreeConfig,
                     new_tree_root, node_search)
-from .retire import RetireBin
 
 
 class LeafTree:
-    def __init__(self, config: Optional[TreeConfig] = None,
-                 reclaim: str = "never"):
+    def __init__(self, config: Optional[TreeConfig] = None):
         self.config = config or TreeConfig()
         self.root = new_tree_root(self.config)
         self.stats = rb.RebalanceStats()
-        self.bin = RetireBin(reclaim)
 
     # -- public API: the yield-free cores -------------------------------------
 
@@ -50,31 +47,17 @@ class LeafTree:
         """Smallest key in [e1, e2] continuously present, else a key present
         at some point, else 0."""
         e1, e2 = _range_args(e1, e2)
-        if self.bin.tracking:
-            return self._tracked(_direct._search, e1, e2)
         return _direct._search(self, e1, e2)
 
     def remove(self, e1: int, e2: Optional[int] = None) -> int:
         """Remove and return one key from [e1, e2] (0 if none found). The
         result is no larger than any key continuously present in range."""
         e1, e2 = _range_args(e1, e2)
-        if self.bin.tracking:
-            return self._tracked(_direct._remove, e1, e2)
         return _direct._remove(self, e1, e2)
 
     def insert(self, e: int) -> bool:
         """Add e; False if it was already present."""
-        word = encode(e)
-        if self.bin.tracking:
-            return self._tracked(_direct._insert, word)
-        return _direct._insert(self, word)
-
-    def _tracked(self, core, *args):
-        self.bin.enter()
-        try:
-            return core(self, *args)
-        finally:
-            self.bin.exit()
+        return _direct._insert(self, encode(e))
 
     # -- the generator cores, for the schedule explorer -----------------------
 
@@ -349,7 +332,8 @@ def _scan(leaf, e1, e2):
 def _range_args(e1, e2):
     if e2 is None:
         e2 = e1
-    if not MIN_KEY <= e1 <= e2 <= MAX_KEY:
+    if (type(e1) is not int or type(e2) is not int
+            or not MIN_KEY <= e1 <= e2 <= MAX_KEY):
         _reject_range(e1, e2)
     return e1, e2
 

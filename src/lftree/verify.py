@@ -386,20 +386,25 @@ def write_trace(path, records: Iterable[OpRecord], comment: str = "") -> None:
 
 def read_trace(path) -> list[OpRecord]:
     records = []
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != _TRACE_COLUMNS:
-                raise TraceError(
-                    f"{path}:{lineno}: expected {_TRACE_COLUMNS} columns, "
-                    f"got {len(parts)}")
-            try:
-                records.append(OpRecord(
-                    int(parts[0]), parts[1], int(parts[2]), int(parts[3]),
-                    int(parts[4]), int(parts[5]), int(parts[6])))
-            except ValueError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if len(parts) != _TRACE_COLUMNS:
+                    raise TraceError(
+                        f"{path}:{lineno}: expected {_TRACE_COLUMNS} "
+                        f"columns, got {len(parts)}")
+                try:
+                    records.append(OpRecord(
+                        int(parts[0]), parts[1], int(parts[2]),
+                        int(parts[3]), int(parts[4]), int(parts[5]),
+                        int(parts[6])))
+                except ValueError as exc:
+                    raise TraceError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: not an ASCII trace: byte "
+                         f"{exc.object[exc.start]:#04x}") from None
     return records

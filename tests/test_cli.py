@@ -48,6 +48,13 @@ def test_check_flags_a_corrupted_trace(tmp_path, capsys):
     assert "malformed trace" in capsys.readouterr().err
 
 
+def test_check_flags_a_non_ascii_trace(tmp_path, capsys):
+    trace = tmp_path / "latin.trace"
+    trace.write_bytes(b"0\tSEARCH\t1\t1\t0\t1\t0\n# caf\xc3\xa9\n")
+    assert main(["check", "--trace", str(trace)]) == 1
+    assert "not an ASCII trace: byte 0xc3" in capsys.readouterr().err
+
+
 def test_check_missing_file_is_an_io_error(tmp_path, capsys):
     assert main(["check", "--trace", str(tmp_path / "nope.trace")]) == 3
     assert "i/o error" in capsys.readouterr().err
@@ -71,7 +78,9 @@ def test_check_progress_window(tmp_path, capsys):
 ], ids=["threads", "min-size", "mix", "duration", "thread-list"])
 def test_bad_configuration_exits_2(argv, capsys):
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "error:" in err
+    assert out == ""  # refused before any output, no partial table
 
 
 def test_unknown_subcommand_and_scenario_exit_2(capsys):

@@ -3,6 +3,7 @@ multi thread runs, duration cycling, and the bench loop."""
 
 import pytest
 
+from lftree import harness
 from lftree.harness import (
     RunConfig,
     make_ops,
@@ -120,12 +121,21 @@ def test_duration_cycles_the_workload():
     assert result.elapsed >= 0.1
 
 
-def test_reclaim_modes():
-    never = run_stress(small(seed=21))
-    assert never.ok and never.reclaimed == 0
-    epoch = run_stress(small(seed=21, reclaim="epoch"))
-    assert epoch.ok, epoch.summary()
-    assert 0 <= epoch.reclaimed <= epoch.retired
+@pytest.mark.parametrize("threads", [1, 2])
+def test_retired_counts_every_unlinked_node(threads):
+    # each link swap unlinks the old parent plus the leaves or internals it
+    # reshaped (one per input size); a root grow unlinks only the old child
+    # of the root, a root shrink that child and its only child
+    cfg = small(order=4, leaf_capacity=4, min_size=2, threads=threads,
+                ops_per_thread=3000, key_range=512, seed=21)
+    result = run_stress(cfg)
+    assert result.ok, result.summary()
+    stats = result.stats
+    records = stats["records"]
+    assert len(records) == stats["link_swaps"] > 0
+    assert {r.kind for r in records} >= {"leaf", "internal", "root"}
+    assert stats["retired"] == sum(
+        len(r.inputs) + (r.kind != "root") for r in records)
 
 
 def test_summary_mentions_the_headline_numbers():
@@ -142,10 +152,18 @@ def test_bench_requires_a_duration():
         run_bench(small())
 
 
-def test_bench_reports_throughput():
-    row = run_bench(small(ops_per_thread=500, duration=0.1,
-                          reclaim="epoch"))
+def test_bench_reports_throughput(monkeypatch):
+    counts = []
+    run = harness._run
+
+    def counted(*args):
+        counts.append(run(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(harness, "_run", counted)
+    row = run_bench(small(ops_per_thread=500, duration=0.1))
     assert row["threads"] == 1
     assert row["ops"] > 0
+    assert counts == [row["ops"]]  # counted by the op loop stress runs too
     assert row["ops_per_sec"] > 0
     assert row["structure_violations"] == 0

@@ -3,8 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lftree.keyspace import (DEAD, EMPTY, MAX_KEY, MIN_KEY, PAYLOAD_MASK,
-                             RO_BIT, encode, is_live, is_readonly, pack,
-                             payload, set_readonly, unpack)
+                             RO_BIT, encode, pack, unpack)
 
 
 def test_word_layout_constants():
@@ -26,15 +25,11 @@ def test_encode_bounds():
 
 def test_readonly_flag_round_trip():
     w = encode(12345)
-    assert not is_readonly(w)
-    f = set_readonly(w)
-    assert is_readonly(f)
-    assert payload(f) == 12345
-    assert is_readonly(DEAD) and payload(DEAD) == 0
-    assert not is_live(EMPTY)
-    assert not is_live(DEAD)
-    assert is_live(w)
-    assert is_live(f)  # live means key-bearing; frozen slots still match
+    assert not w & RO_BIT
+    f = w | RO_BIT
+    assert f & RO_BIT
+    assert f & PAYLOAD_MASK == 12345
+    assert DEAD & RO_BIT and DEAD & PAYLOAD_MASK == 0
 
 
 def test_pack_known_values():
@@ -60,8 +55,8 @@ def test_pack_overflow():
 
 @given(st.integers(min_value=MIN_KEY, max_value=MAX_KEY))
 def test_encode_payload_round_trip(key):
-    assert payload(encode(key)) == key
-    assert payload(set_readonly(encode(key))) == key
+    assert encode(key) & PAYLOAD_MASK == key
+    assert (encode(key) | RO_BIT) & PAYLOAD_MASK == key
 
 
 @given(st.data())

@@ -97,6 +97,31 @@ def test_validation_errors():
         tree.remove(-1, 3)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "3"], ids=["float", "bool", "str"])
+def test_non_int_keys_are_rejected(bad):
+    # a stored float would make every later range comparison raise, and
+    # True would be stored as key 1
+    tree = LeafTree(TreeConfig(3, 4, 2))
+    tree.insert(2)
+    calls = {
+        "insert": lambda: tree.insert(bad),
+        "search-lo": lambda: tree.search(bad, 10),
+        "search-hi": lambda: tree.search(1, bad),
+        "search-one": lambda: tree.search(bad),
+        "remove-lo": lambda: tree.remove(bad, 10),
+        "remove-hi": lambda: tree.remove(1, bad),
+        "remove-one": lambda: tree.remove(bad),
+        "insert-gen": lambda: tree.insert_gen(bad),
+        "search-gen": lambda: tree.search_gen(1, bad),
+        "remove-gen": lambda: tree.remove_gen(bad, 10),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="must be an int"):
+            call()
+    assert tree.search(1, 10) == 2
+    assert tree.snapshot() == [2]
+
+
 def test_max_key_boundary():
     tree = LeafTree(TreeConfig(3, 4, 2))
     assert tree.insert(MAX_KEY) is True

@@ -2,7 +2,7 @@ import pytest
 
 from lftree import rebalance as rb
 from lftree import sim
-from lftree.keyspace import RO_BIT, encode, set_readonly
+from lftree.keyspace import RO_BIT, encode
 from lftree.nodes import (IDLE, PREP, SWAP, InternalNode, LeafNode,
                           TreeConfig)
 from lftree.tree import LeafTree
@@ -183,8 +183,8 @@ def test_freeze_leaf_is_idempotent():
     first = sim.run(rb.freeze_leaf(tree, tree.root, live, leaf))
     second = sim.run(rb.freeze_leaf(tree, tree.root, live, leaf))
     assert first == second
-    assert first[0] == set_readonly(encode(10))
-    assert first[1] == set_readonly(encode(20))
+    assert first[0] == encode(10) | RO_BIT
+    assert first[1] == encode(20) | RO_BIT
     assert all(w & RO_BIT for w in leaf.slots)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lftree.keyspace import DEAD, MAX_KEY, PAYLOAD_MASK, encode, set_readonly
+from lftree.keyspace import DEAD, MAX_KEY, PAYLOAD_MASK, RO_BIT, encode
 from lftree.nodes import (FROZEN, IDLE, InternalNode, LeafNode, TreeConfig,
                           new_tree_root, node_search)
 from lftree.tree import LeafTree
@@ -121,7 +121,7 @@ def test_check_structure_flags_misordered_separators():
 def test_check_structure_flags_frozen_slot_and_status():
     tree = build_flat(TreeConfig(3, 4, 2), [[1, 2], [5, 7]])
     inner = tree.root.children[0]
-    inner.children[0].slots[0] = set_readonly(encode(1))
+    inner.children[0].slots[0] = encode(1) | RO_BIT
     inner.status = (1, 1, 0, FROZEN)
     bad = tree.check_structure()
     assert any("frozen key" in b for b in bad)
