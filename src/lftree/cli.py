@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import harness, scenarios
 from .nodes import TreeConfig
@@ -79,6 +80,8 @@ def cmd_stress(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.window < 0:
+        raise ValueError(f"--window must be >= 0, got {args.window}")
     try:
         records = read_trace(args.trace)
     except TraceError as exc:
@@ -97,12 +100,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_schedules(args) -> int:
+    # sim.explore and sim.run_seeded refuse these too, but only once their
+    # scenario comes up; `all` would print the scenarios before it first
+    if args.bound is not None and args.bound < 0:
+        raise ValueError(f"--bound must be >= 0, got {args.bound}")
+    if args.runs is not None and args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     names = sorted(scenarios.SCENARIOS) if args.scenario == "all" \
         else [args.scenario]
     failed = False
     for name in names:
+        t0 = time.perf_counter()
         report = scenarios.run_scenario(name, bound=args.bound,
                                         runs=args.runs, seed=args.seed)
+        elapsed = time.perf_counter() - t0
         expected = scenarios.EXPECTED_COUNTS.get(name)
         note = ""
         if name in scenarios.SEEDED:
@@ -112,7 +123,9 @@ def cmd_schedules(args) -> int:
             if report.schedules != expected:
                 failed = True
         status = "ok" if report.ok else "FAILED"
-        print(f"{name}: {report.schedules} schedules{note}, {status}")
+        print(f"{name}: {report.schedules} schedules{note}, {status}, "
+              f"{elapsed:.3f} s, "
+              f"{report.schedules / max(elapsed, 1e-9):,.0f} schedules/s")
         for schedule, problems in report.failures[:_MAX_SHOWN]:
             print(f"  schedule {schedule}:")
             for p in problems:

@@ -6,8 +6,10 @@ interleaving completely. `explore` enumerates interleavings exhaustively:
 at every step within the step bound where two or more threads are runnable
 the scheduler branches over all of them; past the bound (or once only one
 thread remains) it drains deterministically, lowest index first. With no
-bound the enumeration is complete. State is rebuilt from scratch per
-schedule via the setup callback, so schedules replay bit-identically.
+bound the enumeration is complete. A run continues down the first branch
+of every branch point it meets and leaves the other branches on a stack;
+each one is later replayed from a fresh setup, so `setup` runs exactly
+once per complete schedule and schedules replay bit-identically.
 `run_seeded` drives the same setup/check pair through pseudo-random
 schedules instead, for thread counts where enumeration is too wide.
 
@@ -60,13 +62,13 @@ def run(gen):
 def run_round_robin(gens, clock: Optional[Clock] = None):
     """One step per runnable thread, cycling until all finish."""
     threads = [SimThread(g) for g in gens]
-    while True:
-        alive = [th for th in threads if not th.done]
-        if not alive:
-            return [th.result for th in threads]
+    alive = threads
+    while alive:
         for th in alive:
-            if not th.done:
-                step(th, clock)
+            step(th, clock)
+            if th.done:  # the round goes on over the list it started with
+                alive = [t for t in alive if not t.done]
+    return [th.result for th in threads]
 
 
 def run_until(thread: SimThread, pred: Callable[[], bool],
@@ -75,10 +77,10 @@ def run_until(thread: SimThread, pred: Callable[[], bool],
     number of steps taken."""
     steps = 0
     while not thread.done and not pred():
-        step(thread, clock)
-        steps += 1
         if steps >= limit:
             raise RuntimeError(f"run_until: no progress in {limit} steps")
+        step(thread, clock)
+        steps += 1
     return steps
 
 
@@ -92,59 +94,64 @@ def explore(setup, check=None, bound: Optional[int] = None,
     """Exhaustively enumerate interleavings up to a step bound.
 
     setup(clock) -> (ctx, gens): build fresh state and the thread
-        generators; called once per schedule (replay from scratch).
+        generators; called exactly once per complete schedule.
     check(ctx, threads, schedule) -> list of problem strings (or None);
         called after each complete schedule. AssertionErrors are captured
         as problems too.
 
-    Every step counts toward `bound`, forced or not; branching happens at
-    steps with two or more runnable threads. bound=None enumerates every
-    complete schedule. A schedule is the tuple of thread indices chosen at
-    the branch points, which replays the run exactly.
+    Every step counts toward `bound` (>= 0), forced or not; branching
+    happens at steps with two or more runnable threads. bound=None
+    enumerates every complete schedule. A schedule is the tuple of thread
+    indices chosen at the branch points, which replays the run exactly.
+
+    The search is depth first, lowest thread index first. A run replays
+    its schedule prefix from a fresh setup; at each new branch point it
+    pushes the prefixes of the other runnable threads and goes on with the
+    lowest, so it finishes as a complete schedule.
     """
+    if bound is not None and bound < 0:
+        raise ValueError(f"explore: bound must be >= 0, got {bound}")
     failures = []
     count = 0
     stack: list[tuple[int, ...]] = [()]
     while stack:
-        prefix = stack.pop()
+        schedule = stack.pop()
         clock = Clock()
         ctx, gens = setup(clock)
         threads = [SimThread(g) for g in gens]
+        alive = list(range(len(threads)))
+        replay = iter(schedule)
+        pending = next(replay, None)
         steps = 0
-        it = iter(prefix)
-        pending = next(it, None)
-        branched = False
-        while True:
-            alive = [i for i, th in enumerate(threads) if not th.done]
-            if not alive:
-                break
+        while alive:
             if len(alive) == 1:
                 pick = alive[0]
             elif pending is not None:
                 pick = pending
-                pending = next(it, None)
+                pending = next(replay, None)
             elif bound is None or steps < bound:
-                for i in reversed(alive):
-                    stack.append(prefix + (i,))
-                branched = True
-                break
+                for i in alive[:0:-1]:  # popped in thread order
+                    stack.append(schedule + (i,))
+                pick = alive[0]
+                schedule += (pick,)
             else:
                 pick = alive[0]  # past the bound: drain lowest index first
-            step(threads[pick], clock)
+            th = threads[pick]
+            step(th, clock)
             steps += 1
-        if branched:
-            continue
+            if th.done:
+                alive.remove(pick)
 
         count += 1
         if max_schedules is not None and count > max_schedules:
             raise RuntimeError(f"explore: more than {max_schedules} schedules")
         if check is not None:
             try:
-                problems = check(ctx, threads, prefix)
+                problems = check(ctx, threads, schedule)
             except AssertionError as exc:
                 problems = [f"assertion: {exc}"]
             if problems:
-                failures.append((prefix, list(problems)))
+                failures.append((schedule, list(problems)))
     return ExploreReport(count, failures)
 
 
@@ -157,20 +164,23 @@ def run_seeded(setup, check=None, seed: int = 0,
     """
     import random
 
+    if runs < 1:
+        raise ValueError(f"run_seeded: runs must be >= 1, got {runs}")
     rng = random.Random(seed)
     failures = []
     for _ in range(runs):
         clock = Clock()
         ctx, gens = setup(clock)
         threads = [SimThread(g) for g in gens]
+        alive = list(range(len(threads)))
         picks = []
-        while True:
-            alive = [i for i, th in enumerate(threads) if not th.done]
-            if not alive:
-                break
+        while alive:
             pick = alive[rng.randrange(len(alive))] if len(alive) > 1 else alive[0]
             picks.append(pick)
-            step(threads[pick], clock)
+            th = threads[pick]
+            step(th, clock)
+            if th.done:
+                alive.remove(pick)
         if check is not None:
             try:
                 problems = check(ctx, threads, tuple(picks))

@@ -5,8 +5,8 @@ size policies directly, sharing no code with the package: a second
 interval-set model built on a plain set, the split/merge/redistribute
 arithmetic, a brute-force splitter, a brute-force history feasibility
 check for tiny histories, the presence bounds evaluated straight from
-their definitions, and builders that assemble exact tree shapes node by
-node.
+their definitions, builders that assemble exact tree shapes node by node,
+and a schedule enumerator that replays every prefix from scratch.
 """
 
 from __future__ import annotations
@@ -193,3 +193,70 @@ class ReferenceIndex:
                 return self.keys[j]
             j += 1
         return 0
+
+
+# --- schedule enumeration, every prefix replayed from scratch ---------------
+
+
+class _Clock:
+    def __init__(self):
+        self.t = 0
+
+
+class _Thread:
+    """What a check sees of a driven generator."""
+
+    def __init__(self, gen):
+        self.gen, self.done, self.result = gen, False, None
+
+
+def explore_by_replay(setup, check=None, bound=None) -> tuple:
+    """Reference for sim.explore, from its definition: (schedules,
+    failures) of a depth-first walk of the choice tree in which every node
+    of the tree, leaf or not, replays its prefix from a fresh setup.
+
+    A branch point is a step, among the first `bound` (all if None), at
+    which two or more threads are runnable; the choices made there, in
+    order, are the schedule. At every other step the lowest-numbered
+    runnable thread steps. Each step ticks the clock. A complete schedule
+    is checked; an AssertionError from the check is a problem."""
+    failures = []
+    schedules = 0
+
+    def visit(prefix):
+        nonlocal schedules
+        clock = _Clock()
+        ctx, gens = setup(clock)
+        threads = [_Thread(g) for g in gens]
+        choices = list(prefix)
+        steps = 0
+        while True:
+            runnable = [i for i, th in enumerate(threads) if not th.done]
+            if not runnable:
+                break
+            if len(runnable) > 1 and (bound is None or steps < bound):
+                if not choices:
+                    for i in runnable:
+                        visit(prefix + (i,))
+                    return
+                pick = choices.pop(0)
+            else:
+                pick = runnable[0]
+            th = threads[pick]
+            clock.t += 1
+            steps += 1
+            try:
+                next(th.gen)
+            except StopIteration as stop:
+                th.done, th.result = True, stop.value
+        schedules += 1
+        if check is not None:
+            try:
+                problems = check(ctx, threads, prefix)
+            except AssertionError as exc:
+                problems = [f"assertion: {exc}"]
+            if problems:
+                failures.append((prefix, list(problems)))
+
+    visit(())
+    return schedules, failures

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes (0 pass, 1 violation, 2 usage or
 config, 3 I/O), and the stress -> check pipeline."""
 
+import re
+
 import pytest
 
 from lftree.cli import main
@@ -75,12 +77,28 @@ def test_check_progress_window(tmp_path, capsys):
     ["stress", "--mix", "1:2"],
     ["bench", "--duration", "0"],
     ["bench", "--threads", "0,2", "--duration", "0.1"],
-], ids=["threads", "min-size", "mix", "duration", "thread-list"])
+    ["schedules", "help-storm", "--runs", "-3"],
+    ["schedules", "help-storm", "--runs", "0"],
+    ["schedules", "all", "--runs", "0"],
+    ["schedules", "freeze-race", "--bound", "-1"],
+    ["schedules", "all", "--bound", "-1"],
+], ids=["threads", "min-size", "mix", "duration", "thread-list",
+        "runs-negative", "runs-zero", "all-runs-zero", "bound-negative",
+        "all-bound-negative"])
 def test_bad_configuration_exits_2(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert "error:" in err
     assert out == ""  # refused before any output, no partial table
+
+
+def test_check_rejects_a_negative_window(tmp_path, capsys):
+    trace = tmp_path / "ok.trace"
+    write_trace(trace, [OpRecord(0, SEARCH, 1, 9, 0, 1, 0)])
+    assert main(["check", "--trace", str(trace), "--window", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert "--window must be >= 0" in err
+    assert out == ""
 
 
 def test_unknown_subcommand_and_scenario_exit_2(capsys):
@@ -97,6 +115,9 @@ def test_schedules_single_scenario_reports_analytic_count(capsys):
     assert main(["schedules", "begin-race"]) == 0
     out = capsys.readouterr().out
     assert "begin-race: 20 schedules (analytic 20), ok" in out
+    # then the scenario's wall time and explored schedules per second
+    assert re.fullmatch(r"begin-race: 20 schedules \(analytic 20\), ok, "
+                        r"\d+\.\d{3} s, [\d,]+ schedules/s\n", out)
 
 
 def test_schedules_seeded_scenario(capsys):

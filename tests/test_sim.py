@@ -4,7 +4,10 @@ bound/drain behavior, seeded replay, and operation record stamping."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from lftree import sim
 from lftree.nodes import TreeConfig
 from lftree.tree import LeafTree
@@ -58,6 +61,19 @@ def test_run_until_gives_up_at_limit():
     th = sim.SimThread(forever())
     with pytest.raises(RuntimeError, match="no progress in 50"):
         sim.run_until(th, lambda: False, limit=50)
+
+
+def test_run_until_finishing_on_the_last_allowed_step():
+    th = sim.SimThread(chatty(49, [], 0))  # 50 steps
+    assert sim.run_until(th, lambda: False, limit=50) == 50
+    assert th.done
+
+
+def test_run_until_predicate_met_on_the_last_allowed_step():
+    log = []
+    th = sim.SimThread(chatty(9, log, 0))
+    assert sim.run_until(th, lambda: len(log) >= 5, limit=5) == 5
+    assert not th.done
 
 
 # --- exhaustive exploration ---------------------------------------------
@@ -159,6 +175,81 @@ def test_explore_is_deterministic():
 def test_explore_schedule_cap():
     with pytest.raises(RuntimeError, match="more than 5 schedules"):
         sim.explore(two_thread_setup(2, 2), max_schedules=5)
+
+
+def test_explore_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        sim.explore(two_thread_setup(1, 1), bound=-1)
+
+
+def test_explore_sets_up_once_per_schedule():
+    setup = two_thread_setup(2, 2)
+    calls = []
+
+    def counted(clock):
+        calls.append(clock)
+        return setup(clock)
+
+    for bound in (None, 0, 3):
+        calls.clear()
+        report = sim.explore(counted, bound=bound)
+        assert len(calls) == report.schedules
+
+
+@st.composite
+def explore_cases(draw):
+    yields = draw(st.lists(st.integers(0, 4), min_size=2, max_size=3))
+    steps = [y + 1 for y in yields]
+    complete = math.factorial(sum(steps)) // math.prod(
+        math.factorial(n) for n in steps)
+    # unbounded only where the complete enumeration stays small
+    bounds = st.integers(0, 6)
+    if complete <= 2000:
+        bounds = st.none() | bounds
+    return (yields, draw(bounds), draw(st.integers(0, 1 << 16)),
+            draw(st.integers(1, 5)), draw(st.booleans()))
+
+
+def _logged_exploration(explorer, yields, bound, salt, modulus, raises):
+    """Run an explorer over chatty threads whose check flags the logs that
+    hash into a salted subset; return its report, the (schedule, log,
+    threads done) seen at each check, and the number of setups."""
+    calls = []
+    setups = 0
+
+    def setup(clock):
+        nonlocal setups
+        setups += 1
+        log = []
+        return log, [chatty(y, log, i) for i, y in enumerate(yields)]
+
+    def check(log, threads, schedule):
+        calls.append((schedule, tuple(log), all(th.done for th in threads)))
+        if hash((salt, tuple(log))) % modulus == 0:
+            if raises:
+                raise AssertionError(f"flagged {log}")
+            return [f"flagged {log}", "second problem"]
+
+    report = explorer(setup, check, bound=bound)
+    return report, calls, setups
+
+
+@settings(max_examples=60, deadline=None)
+@given(explore_cases())
+def test_explore_matches_the_replay_reference(case):
+    got, got_calls, setups = _logged_exploration(sim.explore, *case)
+    want, want_calls, _ = _logged_exploration(reference.explore_by_replay,
+                                              *case)
+    assert got == want
+    assert got_calls == want_calls
+    assert all(done for _, _, done in got_calls)
+    assert setups == got.schedules
+
+
+def test_run_seeded_rejects_fewer_than_one_run():
+    for runs in (0, -3):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            sim.run_seeded(two_thread_setup(1, 1), runs=runs)
 
 
 # --- seeded schedules ---------------------------------------------------
