@@ -111,8 +111,11 @@ def cmd_schedules(args) -> int:
     failed = False
     for name in names:
         t0 = time.perf_counter()
-        report = scenarios.run_scenario(name, bound=args.bound,
-                                        runs=args.runs, seed=args.seed)
+        kwargs = dict(bound=args.bound, runs=args.runs, seed=args.seed)
+        if args.scenario == "all":
+            kwargs = scenarios.own_args(name, **kwargs)
+        # a named scenario refuses the other kind's flags before any output
+        report = scenarios.run_scenario(name, **kwargs)
         elapsed = time.perf_counter() - t0
         expected = scenarios.EXPECTED_COUNTS.get(name)
         note = ""

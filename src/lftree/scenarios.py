@@ -375,19 +375,39 @@ SEEDED = frozenset({"help-storm"})
 
 def run_scenario(name: str, bound: int = None, runs: int = None,
                  seed: int = None) -> ScenarioReport:
+    """Run one scenario. A seeded scenario takes `runs` and `seed`, an
+    enumerated one `bound`; passing the other kind's argument is an error,
+    not a silent no-op."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; "
                          f"pick from {sorted(SCENARIOS)}")
     fn = SCENARIOS[name]
     if name in SEEDED:
+        if bound is not None:
+            raise ValueError(f"{name} runs seeded schedules: bound does "
+                             f"not apply, only runs and seed")
         kwargs = {}
         if runs is not None:
             kwargs["runs"] = runs
         if seed is not None:
             kwargs["seed"] = seed
         return fn(**kwargs)
+    if runs is not None or seed is not None:
+        raise ValueError(f"{name} is explored exhaustively: runs and seed "
+                         f"do not apply, only bound")
     return fn() if bound is None else fn(bound=bound)
 
 
+def own_args(name: str, bound: int = None, runs: int = None,
+             seed: int = None) -> dict:
+    """The arguments of `name`'s kind: runs and seed for a seeded scenario,
+    bound for an enumerated one."""
+    if name in SEEDED:
+        return {"runs": runs, "seed": seed}
+    return {"bound": bound}
+
+
 def run_all(bound: int = None, runs: int = None) -> list[ScenarioReport]:
-    return [run_scenario(name, bound=bound, runs=runs) for name in SCENARIOS]
+    """Every scenario, each given only the arguments of its kind."""
+    return [run_scenario(name, **own_args(name, bound, runs))
+            for name in SCENARIOS]

@@ -14,6 +14,13 @@ contracts checked by verify.py: a search/remove over [e1, e2] returns the
 smallest key that was continuously present, or some key that was present
 at some point during the call; 0 means no key was continuously present.
 
+A leaf's D slots are unsorted, so every operation reads all of them. A
+search scans only for its answer, the smallest key in range (_find);
+remove and insert also need the first writable empty slot and the live
+key count (_scan). Both test a word against RO_BIT rather than masking
+it: below is a writable key (or empty at 0), RO_BIT itself is a dead
+slot, above is a frozen key.
+
 Removal tombstones the slot (read-only empty word) instead of zeroing it:
 the number of writable empty slots in a leaf only ever decreases, so two
 concurrent inserts of the same key always contend on the same slot and
@@ -47,17 +54,17 @@ class LeafTree:
         """Smallest key in [e1, e2] continuously present, else a key present
         at some point, else 0."""
         e1, e2 = _range_args(e1, e2)
-        return _direct._search(self, e1, e2)
+        return _search_direct(self, e1, e2)
 
     def remove(self, e1: int, e2: Optional[int] = None) -> int:
         """Remove and return one key from [e1, e2] (0 if none found). The
         result is no larger than any key continuously present in range."""
         e1, e2 = _range_args(e1, e2)
-        return _direct._remove(self, e1, e2)
+        return _remove_direct(self, e1, e2)
 
     def insert(self, e: int) -> bool:
         """Add e; False if it was already present."""
-        return _direct._insert(self, encode(e))
+        return _insert_direct(self, encode(e))
 
     # -- the generator cores, for the schedule explorer -----------------------
 
@@ -194,10 +201,9 @@ def _search(tree, e1, e2):
     key = e1
     while True:
         _, leaf, hi = yield from _descend(tree, key)
-        slot, word, _, _ = yield from _scan(leaf, e1, e2)
-        if slot >= 0:
-            # a frozen match still proves presence during the call
-            return word & PAYLOAD_MASK
+        found = yield from _find(leaf, e1, e2)
+        if found:
+            return found
         if hi >= e2:
             return 0
         key = hi + 1
@@ -259,7 +265,7 @@ def _descend(tree, key):
         path = []
         hi = MAX_KEY
         restart = False
-        while isinstance(node, InternalNode):
+        while type(node) is InternalNode:  # no node class is subclassed
             yield
             st = node.status
             if st[3] != IDLE:
@@ -269,7 +275,8 @@ def _descend(tree, key):
                     break
                 yield from rb.execute(tree, node, st, helped=True)
                 continue
-            n = len(node.children)
+            children = node.children  # the list is fixed; its links are CASed
+            n = len(children)
             # below the root (whose shape never changes), a size outside
             # [S, K] may need a reshape
             if path and not min_size <= n <= order:
@@ -284,7 +291,7 @@ def _descend(tree, key):
                     break
                 if n == 1:
                     yield
-                    if isinstance(node.children[0], InternalNode):
+                    if isinstance(children[0], InternalNode):
                         yield from rb.trigger(tree, root, key)
                         restart = True
                         break
@@ -294,7 +301,7 @@ def _descend(tree, key):
                 hi = seps[j]
             yield
             path.append(node)
-            node = node.children[j]
+            node = children[j]
         if restart:
             continue
         return path, node, hi
@@ -309,22 +316,45 @@ def _repair(tree, path, key):
     yield from rb.trigger(tree, grand, key)
 
 
-def _scan(leaf, e1, e2):
-    """(slot of the smallest in-range live key or -1, its word, first
-    writable empty slot or -1, live keys in the leaf, frozen or not)."""
-    best_slot, best_word, best_key = -1, 0, MAX_KEY + 1
-    empty_slot = -1
-    live = 0
-    slots, mask = leaf.slots, PAYLOAD_MASK
+def _find(leaf, e1, e2):
+    """The smallest key in [e1, e2] in the leaf, frozen or not (a frozen
+    match still proves presence during the call), else 0."""
+    best = e2 + 1
+    slots = leaf.slots
     for i in range(len(slots)):
         yield
         w = slots[i]
-        p = w & mask
-        if p:
+        if w < RO_BIT:
+            if e1 <= w < best:  # an empty word, 0, is below e1
+                best = w
+        elif w > RO_BIT:  # frozen key; RO_BIT itself is a dead slot
+            w ^= RO_BIT
+            if e1 <= w < best:
+                best = w
+    return best if best <= e2 else 0
+
+
+def _scan(leaf, e1, e2):
+    """(slot of the smallest in-range live key or -1, its word, first
+    writable empty slot or -1, live keys in the leaf, frozen or not)."""
+    best_slot, best_word, best = -1, 0, e2 + 1
+    empty_slot = -1
+    live = 0
+    slots = leaf.slots
+    for i in range(len(slots)):
+        yield
+        w = slots[i]
+        if w:
+            if w < RO_BIT:
+                p = w
+            elif w > RO_BIT:  # frozen key
+                p = w ^ RO_BIT
+            else:  # dead slot
+                continue
             live += 1
-            if e1 <= p <= e2 and p < best_key:
-                best_slot, best_word, best_key = i, w, p
-        elif not w and empty_slot < 0:
+            if e1 <= p < best:
+                best_slot, best_word, best = i, w, p
+        elif empty_slot < 0:
             empty_slot = i
     return best_slot, best_word, empty_slot, live
 
@@ -347,3 +377,6 @@ def _reject_range(e1, e2):
 # Real threads run yield-free copies of the cores; the explorer drives the
 # generators above. Both come from this one source.
 _direct = yield_free(sys.modules[__name__], rb=yield_free(rb))
+_search_direct = _direct._search
+_remove_direct = _direct._remove
+_insert_direct = _direct._insert

@@ -358,10 +358,14 @@ def progress_audit(records: list[OpRecord], window: int) -> list[str]:
                 f"op ran {r.t2 - r.t1} > {window}: {r.line()}")
     responses = sorted(r.t2 for r in records)
     spans = sorted((r.t1, r.t2) for r in records)
+    # the gaps come in order of their start a, so one sweep over the spans
+    # by t1 keeps the latest response of every op invoked by a
+    j, latest = 0, float("-inf")
     for a, b in zip(responses, responses[1:]):
-        if b - a <= window:
-            continue
-        if any(t1 <= a and t2 >= b for t1, t2 in spans):
+        while j < len(spans) and spans[j][0] <= a:
+            latest = max(latest, spans[j][1])
+            j += 1
+        if b - a > window and latest >= b:
             reports.append(f"no response between {a} and {b}")
     return reports
 

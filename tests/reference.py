@@ -6,7 +6,8 @@ interval-set model built on a plain set, the split/merge/redistribute
 arithmetic, a brute-force splitter, a brute-force history feasibility
 check for tiny histories, the presence bounds evaluated straight from
 their definitions, builders that assemble exact tree shapes node by node,
-and a schedule enumerator that replays every prefix from scratch.
+a leaf scan read off the word layout, a gap-by-gap starvation screen, and
+a schedule enumerator that replays every prefix from scratch.
 """
 
 from __future__ import annotations
@@ -193,6 +194,44 @@ class ReferenceIndex:
                 return self.keys[j]
             j += 1
         return 0
+
+
+# --- leaf words, straight from the keyspace definition ----------------------
+
+
+def scan_by_definition(words, e1: int, e2: int) -> tuple:
+    """What a scan of a leaf's `words` over [e1, e2] must find. A word's top
+    bit (of 64) is its read-only flag and the low 63 bits its payload;
+    payload 0 is no key, so a writable 0 is an empty slot and a read-only 0
+    a dead one. Returns ((payload, slot, word) of the smallest in-range key,
+    first slot on a tie, else (0, -1, 0); the first writable empty slot or
+    -1; the number of keys, read-only or not)."""
+    keys, empty = [], -1
+    for slot, word in enumerate(words):
+        read_only, payload = divmod(word, 2 ** 63)
+        if payload:
+            keys.append((payload, slot, word))
+        elif not read_only and empty < 0:
+            empty = slot
+    hits = [k for k in keys if e1 <= k[0] <= e2]
+    return min(hits, default=(0, -1, 0)), empty, len(keys)
+
+
+# --- starvation screen, gap by gap -------------------------------------------
+
+
+def progress_audit_by_scan(records, window: int) -> list:
+    """verify.progress_audit from its definition: every op that ran longer
+    than `window`, then every gap longer than `window` between consecutive
+    responses that some op spans (invoked by its start, responded by its
+    end), each gap checked against every op. Quadratic."""
+    reports = [f"op ran {r.t2 - r.t1} > {window}: {r.line()}"
+               for r in records if r.t2 - r.t1 > window]
+    responses = sorted(r.t2 for r in records)
+    for a, b in zip(responses, responses[1:]):
+        if b - a > window and any(r.t1 <= a and r.t2 >= b for r in records):
+            reports.append(f"no response between {a} and {b}")
+    return reports
 
 
 # --- schedule enumeration, every prefix replayed from scratch ---------------

@@ -82,9 +82,13 @@ def test_check_progress_window(tmp_path, capsys):
     ["schedules", "all", "--runs", "0"],
     ["schedules", "freeze-race", "--bound", "-1"],
     ["schedules", "all", "--bound", "-1"],
+    ["schedules", "help-storm", "--bound", "3", "--runs", "20"],
+    ["schedules", "begin-race", "--runs", "5", "--seed", "1"],
+    ["schedules", "begin-race", "--seed", "1"],
 ], ids=["threads", "min-size", "mix", "duration", "thread-list",
         "runs-negative", "runs-zero", "all-runs-zero", "bound-negative",
-        "all-bound-negative"])
+        "all-bound-negative", "seeded-bound", "exhaustive-runs",
+        "exhaustive-seed"])
 def test_bad_configuration_exits_2(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -57,7 +57,8 @@ def test_public_methods_match_the_generator_cores(shape):
 
 def test_derived_cores_are_plain_functions():
     direct = tree_mod._direct
-    for name in ("_search", "_remove", "_insert", "_descend", "_scan"):
+    for name in ("_search", "_remove", "_insert", "_descend", "_scan",
+                 "_find"):
         assert inspect.isgeneratorfunction(getattr(tree_mod, name))
         assert not inspect.isgeneratorfunction(getattr(direct, name))
     direct_rb = direct.rb

@@ -1,12 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lftree.keyspace import DEAD, MAX_KEY, PAYLOAD_MASK, RO_BIT, encode
+from lftree import sim
+from lftree import tree as tree_mod
+from lftree.keyspace import (DEAD, EMPTY, MAX_KEY, MIN_KEY, PAYLOAD_MASK,
+                             RO_BIT, encode)
 from lftree.nodes import (FROZEN, IDLE, InternalNode, LeafNode, TreeConfig,
                           new_tree_root, node_search)
 from lftree.tree import LeafTree
-from reference import build_flat, leaf_key_sets
+from reference import build_flat, leaf_key_sets, scan_by_definition
 
 
 def test_config_validation():
@@ -160,3 +165,30 @@ def test_dead_slots_are_invisible():
     assert tree.snapshot() == [2, 5, 7]
     assert tree.check_structure() == []
     assert tree.search(1, 3) == 2
+
+
+# --- leaf scans against the word layout -----------------------------------
+
+# keys near both ends of the key space, and anywhere between
+_keys = st.one_of(st.integers(MIN_KEY, MIN_KEY + 40),
+                  st.integers(MAX_KEY - 40, MAX_KEY),
+                  st.integers(MIN_KEY, MAX_KEY))
+_words = st.one_of(st.just(EMPTY), st.just(DEAD), _keys,
+                   _keys.map(lambda k: RO_BIT | k))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_words, min_size=4, max_size=64), _keys, _keys)
+def test_leaf_scans_match_the_word_layout(words, a, b):
+    e1, e2 = min(a, b), max(a, b)
+    leaf = LeafNode(len(words), words)
+    (key, slot, word), empty, live = scan_by_definition(words, e1, e2)
+    want_scan = (slot, word, empty, live)
+    direct = tree_mod._direct
+    assert sim.run(tree_mod._scan(leaf, e1, e2)) == want_scan
+    assert direct._scan(leaf, e1, e2) == want_scan
+    assert sim.run(tree_mod._find(leaf, e1, e2)) == key
+    assert direct._find(leaf, e1, e2) == key
+    # one scheduling point before every slot read, and no other
+    for core in (tree_mod._scan, tree_mod._find):
+        assert sum(1 for _ in core(leaf, e1, e2)) == len(words)

@@ -2,6 +2,7 @@
 and a brute-force feasibility cross-check on tiny histories."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -428,6 +429,27 @@ def test_progress_audit_quiet_on_steady_throughput():
     recs = [OpRecord(0, SEARCH, 1, 1, 10 * i, 10 * i + 8, 0)
             for i in range(50)]
     assert progress_audit(recs, 50) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 30)),
+                max_size=25),
+       st.integers(0, 20))
+def test_progress_audit_matches_the_gap_by_gap_screen(spans, window):
+    recs = [OpRecord(i % 3, SEARCH, 1, 1, t1, t1 + d, 0)
+            for i, (t1, d) in enumerate(spans)]
+    assert progress_audit(recs, window) == \
+        reference.progress_audit_by_scan(recs, window)
+
+
+def test_progress_audit_is_near_linear():
+    # one thread back to back: 50k gaps of 1 at window 1, each spanned by
+    # nothing; a scan of every span per gap took seconds at 8k records
+    recs = [OpRecord(0, SEARCH, 1, 1, 2 * i, 2 * i + 1, 0)
+            for i in range(50_000)]
+    t0 = time.perf_counter()
+    assert progress_audit(recs, 1) == []
+    assert time.perf_counter() - t0 < 2.0
 
 
 # --- trace files --------------------------------------------------------
