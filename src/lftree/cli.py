@@ -52,12 +52,16 @@ def _run_config(args, threads=None, duration=0.0) -> harness.RunConfig:
         duration=duration)
 
 
-def _show(title: str, items) -> None:
-    print(f"{title}: {len(items)}")
+def _show(title: str, items, count: int = None) -> None:
+    """Print a count and the first _MAX_SHOWN of `items`; `count` is the
+    full number where `items` holds only a prefix."""
+    if count is None:
+        count = len(items)
+    print(f"{title}: {count}")
     for item in items[:_MAX_SHOWN]:
         print(f"  {item}")
-    if len(items) > _MAX_SHOWN:
-        print(f"  ... {len(items) - _MAX_SHOWN} more")
+    if count > _MAX_SHOWN:
+        print(f"  ... {count - _MAX_SHOWN} more")
 
 
 def cmd_stress(args) -> int:
@@ -90,8 +94,8 @@ def cmd_check(args) -> int:
     violations = check_history(records)
     print(f"{len(records)} records, {len(violations)} violations")
     if args.window:
-        stalls = progress_audit(records, args.window)
-        _show("progress audit", stalls)
+        count, stalls = progress_audit(records, args.window, _MAX_SHOWN)
+        _show("progress audit", stalls, count)
     if violations:
         _show("history violations", violations)
         return 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import resource
 import sys
 import threading
 import time
@@ -132,6 +133,7 @@ class StressResult:
     balance_problems: list[str]
     elapsed: float
     stats: dict
+    voluntary_switches: int     # the process's, over the timed loop
 
     @property
     def ok(self) -> bool:
@@ -141,8 +143,10 @@ class StressResult:
     def summary(self) -> str:
         n = len(self.records)
         rate = n / self.elapsed if self.elapsed > 0 else 0.0
+        per_kop = self.voluntary_switches * 1000 / n if n else 0.0
         return (f"{n} ops, {self.config.threads} threads, "
                 f"{self.elapsed:.2f}s ({rate:,.0f} ops/s), "
+                f"{per_kop:.1f} voluntary switches per 1k ops, "
                 f"{len(self.snapshot)} keys left, "
                 f"{self.stats['link_swaps']} rebalances, "
                 f"violations: {len(self.structure_violations)} structure / "
@@ -154,7 +158,9 @@ def run_stress(cfg: RunConfig, check: bool = True) -> StressResult:
     tree = LeafTree(cfg.tree_config())
     workloads = [make_ops(cfg, tid) for tid in range(cfg.threads)]
     buckets: list[list[OpRecord]] = [[] for _ in range(cfg.threads)]
+    switches = _voluntary_switches()
     _, elapsed = _run_all(tree, workloads, cfg.duration, buckets)
+    switches = _voluntary_switches() - switches
 
     records = [r for bucket in buckets for r in bucket]
     records.sort(key=itemgetter(4, 5, 0))   # (t1, t2, tid)
@@ -168,7 +174,14 @@ def run_stress(cfg: RunConfig, check: bool = True) -> StressResult:
     history = check_history(records) if check else []
     balance = snapshot_consistent(records, snapshot) if check else []
     return StressResult(cfg, records, snapshot, structure, history, balance,
-                        elapsed, tree.stats.snapshot())
+                        elapsed, tree.stats.snapshot(), switches)
+
+
+def _voluntary_switches() -> int:
+    """Voluntary context switches of the whole process so far, every
+    thread included. A thread that waits for the GIL blocks, so over a
+    multi-thread run they tell how often the GIL really changed hands."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
 
 
 def _run_all(tree: LeafTree, workloads, duration: float,

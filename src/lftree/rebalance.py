@@ -34,7 +34,6 @@ CPython's GC frees the unlinked nodes once no thread holds them.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cells import cas, cas_status
@@ -81,16 +80,22 @@ class RebalanceStats:
             }
 
 
-@dataclass
-class _Plan:
+# NamedTuples built without their Python-level __new__, as harness._run
+# builds an OpRecord
+_new_tuple = tuple.__new__
+
+
+class _Plan(NamedTuple):
     new_parent: InternalNode
     record: RebalanceRecord
-    retire: list = field(default_factory=list)   # nodes the swap unlinks
+    retire: tuple        # nodes the swap unlinks
 
 
 def live_keys(words) -> list[int]:
     """Sorted payloads of the non-empty words, read-only or not."""
-    return sorted(w & PAYLOAD_MASK for w in words if w & PAYLOAD_MASK)
+    keys = [w & PAYLOAD_MASK for w in words if w & PAYLOAD_MASK]
+    keys.sort()
+    return keys
 
 
 # --- generator phases -------------------------------------------------------
@@ -108,8 +113,12 @@ def begin(tree, grand, parent_key: int, unbalanced_key: int):
     new = (parent_key, unbalanced_key, st[2], PREP)
     yield
     if cas_status(grand, st, new):
-        with tree.stats.lock:
-            tree.stats.begins += 1
+        stats = tree.stats
+        stats.lock.acquire()
+        try:
+            stats.begins += 1
+        finally:
+            stats.lock.release()
         return True
     return False
 
@@ -228,10 +237,14 @@ def execute(tree, grand, st, helped: bool = False):
     if links[jp] is parent:
         yield
         if cas(links, jp, parent, plan.new_parent):
-            with tree.stats.lock:
-                tree.stats.link_swaps += 1
-                tree.stats.retired += len(plan.retire)
-                tree.stats.records.append(plan.record)
+            stats = tree.stats
+            stats.lock.acquire()
+            try:
+                stats.link_swaps += 1
+                stats.retired += len(plan.retire)
+                stats.records.append(plan.record)
+            finally:
+                stats.lock.release()
 
     yield from _clear(tree, grand, live[1], helped)
 
@@ -240,10 +253,14 @@ def _clear(tree, grand, swap_status, helped):
     pk, uk, seq, _ = swap_status
     yield
     if cas_status(grand, swap_status, (0, 0, seq + 1, IDLE)):
-        with tree.stats.lock:
-            tree.stats.clears += 1
+        stats = tree.stats
+        stats.lock.acquire()
+        try:
+            stats.clears += 1
             if helped:
-                tree.stats.helper_clears += 1
+                stats.helper_clears += 1
+        finally:
+            stats.lock.release()
 
 
 # --- plan construction ------------------------------------------------------
@@ -309,7 +326,7 @@ def _plan_leaf(tree, grand, live, parent, pvals, ju):
         seps = _insert_sep(parent.separators, ju, left[-1])
         rec = _rec("leaf", SPLIT, (a,), (h, a - h), len(children) == 1,
                    _leaves_hold(new, keys), True)
-        return _finish(parent, [unb], children, seps, rec)
+        return _finish(parent, (unb,), children, seps, rec)
 
     if a <= S and len(pvals) >= 2:
         js = ju + 1 if ju + 1 < len(pvals) else ju - 1
@@ -338,7 +355,7 @@ def _plan_leaf(tree, grand, live, parent, pvals, ju):
             seps = _replace_sep(parent.separators, lo, left[-1])
             rec = _rec("leaf", REDISTRIBUTE, (a, b), (h, t - h), False,
                        _leaves_hold(new, combined), clean)
-        return _finish(parent, [unb, sib], children, seps, rec)
+        return _finish(parent, (unb, sib), children, seps, rec)
 
     # raced trigger, dead-slot compaction, or sparse sole child: copy live
     # keys into a fresh writable leaf
@@ -347,7 +364,7 @@ def _plan_leaf(tree, grand, live, parent, pvals, ju):
     children[ju] = new[0]
     rec = _rec("leaf", REBUILD, (a,), (a,), len(children) == 1,
                _leaves_hold(new, keys), False)
-    return _finish(parent, [unb], children, parent.separators, rec)
+    return _finish(parent, (unb,), children, parent.separators, rec)
 
 
 def _plan_internal(tree, grand, live, parent, pvals, ju):
@@ -369,7 +386,7 @@ def _plan_internal(tree, grand, live, parent, pvals, ju):
         seps = _insert_sep(parent.separators, ju, unb.separators[h - 1])
         rec = _rec("internal", SPLIT, (c_n,), (h, c_n - h),
                    len(children) == 1, _nodes_hold([lnode, rnode], uvals), False)
-        return _finish(parent, [unb], children, seps, rec)
+        return _finish(parent, (unb,), children, seps, rec)
 
     if c_n < S and len(pvals) >= 2:
         js = ju + 1 if ju + 1 < len(pvals) else ju - 1
@@ -401,14 +418,14 @@ def _plan_internal(tree, grand, live, parent, pvals, ju):
             seps = _replace_sep(parent.separators, lo, allseps[h - 1])
             rec = _rec("internal", REDISTRIBUTE, (c_n, len(svals)), (h, t - h),
                        False, _nodes_hold([lnode, rnode], allvals), False)
-        return _finish(parent, [unb, sib], children, seps, rec)
+        return _finish(parent, (unb, sib), children, seps, rec)
 
     rebuilt = InternalNode(uvals, unb.separators)
     children = list(pvals)
     children[ju] = rebuilt
     rec = _rec("internal", REBUILD, (c_n,), (c_n,), len(children) == 1,
                _nodes_hold([rebuilt], uvals), False)
-    return _finish(parent, [unb], children, parent.separators, rec)
+    return _finish(parent, (unb,), children, parent.separators, rec)
 
 
 def _plan_grow(tree, grand, live, parent):
@@ -421,7 +438,7 @@ def _plan_grow(tree, grand, live, parent):
     top = InternalNode([lnode, rnode], (parent.separators[h - 1],))
     rec = _rec("root", GROW, (n,), (h, n - h), False,
                _nodes_hold([lnode, rnode], pvals), False)
-    return _Plan(top, rec, [parent])
+    return _new_tuple(_Plan, (top, rec, (parent,)))
 
 
 def _plan_shrink(tree, grand, live, parent, only):
@@ -433,7 +450,7 @@ def _plan_shrink(tree, grand, live, parent, only):
     dropped = InternalNode(vals, only.separators)
     rec = _rec("root", SHRINK, (1, len(vals)), (len(vals),), False,
                _nodes_hold([dropped], vals), False)
-    return _Plan(dropped, rec, [parent, only])
+    return _new_tuple(_Plan, (dropped, rec, (parent, only)))
 
 
 # --- small pure helpers -----------------------------------------------------
@@ -446,19 +463,20 @@ def _leaf(capacity: int, keys) -> LeafNode:
 
 def _leaves_hold(leaves, expected_keys) -> bool:
     """Read-back check: the fresh leaves carry exactly the planned keys."""
-    held = []
-    for lf in leaves:
-        held.extend(w & PAYLOAD_MASK for w in lf.slots if w & PAYLOAD_MASK)
-    return sorted(held) == list(expected_keys)
+    held = [w & PAYLOAD_MASK for lf in leaves for w in lf.slots
+            if w & PAYLOAD_MASK]
+    held.sort()
+    return held == expected_keys
 
 
 def _nodes_hold(nodes, expected_vals) -> bool:
     """Read-back check: the fresh internals link exactly the planned
     children, compared by object identity."""
-    held = []
-    for nd in nodes:
-        held.extend(id(c) for c in nd.children)
-    return sorted(held) == sorted(id(v) for v in expected_vals)
+    held = [id(c) for nd in nodes for c in nd.children]
+    held.sort()
+    want = [id(v) for v in expected_vals]
+    want.sort()
+    return held == want
 
 
 def _insert_sep(seps: tuple, j: int, value: int) -> tuple:
@@ -471,11 +489,12 @@ def _replace_sep(seps: tuple, j: int, value: int) -> tuple:
     return seps[:j] + (value,) + seps[j + 1:]
 
 
-def _rec(kind, action, inputs, outputs, final, preserved, clean):
-    return RebalanceRecord(kind, action, tuple(inputs), tuple(outputs),
-                           final, preserved, clean)
+def _rec(kind, action, inputs: tuple, outputs: tuple, final, preserved,
+         clean) -> RebalanceRecord:
+    return _new_tuple(RebalanceRecord, (kind, action, inputs, outputs, final,
+                                        preserved, clean))
 
 
-def _finish(parent, frozen, children, seps, rec) -> _Plan:
+def _finish(parent, frozen: tuple, children, seps, rec) -> _Plan:
     new_parent = InternalNode(children, seps)
-    return _Plan(new_parent, rec, [parent] + frozen)
+    return _new_tuple(_Plan, (new_parent, rec, (parent,) + frozen))

@@ -14,12 +14,13 @@ contracts checked by verify.py: a search/remove over [e1, e2] returns the
 smallest key that was continuously present, or some key that was present
 at some point during the call; 0 means no key was continuously present.
 
-A leaf's D slots are unsorted, so every operation reads all of them. A
-search scans only for its answer, the smallest key in range (_find);
-remove and insert also need the first writable empty slot and the live
-key count (_scan). Both test a word against RO_BIT rather than masking
-it: below is a writable key (or empty at 0), RO_BIT itself is a dead
-slot, above is a frozen key.
+A leaf's D slots are unsorted, so every operation reads all of them,
+with a scan of its own: a search wants only the smallest key in range
+(_find), an insert whether its key is there and the first writable empty
+slot (_probe), a remove the smallest key in range with its slot and word
+and the live key count (_scan). The range scans test a word against
+RO_BIT rather than masking it: below is a writable key (or empty at 0),
+RO_BIT itself is a dead slot, above is a frozen key.
 
 Removal tombstones the slot (read-only empty word) instead of zeroing it:
 the number of writable empty slots in a leaf only ever decreases, so two
@@ -214,7 +215,7 @@ def _remove(tree, e1, e2):
     while True:
         path, leaf, hi = yield from _descend(tree, key)
         while True:
-            slot, word, _, live = yield from _scan(leaf, e1, e2)
+            slot, word, live = yield from _scan(leaf, e1, e2)
             if slot < 0:
                 if hi >= e2:
                     return 0
@@ -238,8 +239,8 @@ def _insert(tree, word):
     while True:
         path, leaf, _ = yield from _descend(tree, word)
         while True:
-            slot, _, empty, _ = yield from _scan(leaf, word, word)
-            if slot >= 0:
+            present, empty = yield from _probe(leaf, word)
+            if present:
                 return False
             if empty < 0:
                 # no writable empty slot: full, clogged with dead
@@ -334,11 +335,28 @@ def _find(leaf, e1, e2):
     return best if best <= e2 else 0
 
 
+def _probe(leaf, word):
+    """(whether the key of `word` is in the leaf, frozen or not, first
+    writable empty slot or -1)."""
+    frozen = word | RO_BIT
+    present = False
+    empty = -1
+    slots = leaf.slots
+    for i in range(len(slots)):
+        yield
+        w = slots[i]
+        if not w:
+            if empty < 0:
+                empty = i
+        elif w == word or w == frozen:
+            present = True
+    return present, empty
+
+
 def _scan(leaf, e1, e2):
-    """(slot of the smallest in-range live key or -1, its word, first
-    writable empty slot or -1, live keys in the leaf, frozen or not)."""
+    """(slot of the smallest in-range live key or -1, its word, live keys
+    in the leaf, frozen or not)."""
     best_slot, best_word, best = -1, 0, e2 + 1
-    empty_slot = -1
     live = 0
     slots = leaf.slots
     for i in range(len(slots)):
@@ -354,9 +372,7 @@ def _scan(leaf, e1, e2):
             live += 1
             if e1 <= p < best:
                 best_slot, best_word, best = i, w, p
-        elif empty_slot < 0:
-            empty_slot = i
-    return best_slot, best_word, empty_slot, live
+    return best_slot, best_word, live
 
 
 def _range_args(e1, e2):

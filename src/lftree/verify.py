@@ -347,15 +347,21 @@ def snapshot_consistent(records: list[OpRecord],
     return problems
 
 
-def progress_audit(records: list[OpRecord], window: int) -> list[str]:
+def progress_audit(records: list[OpRecord], window: int,
+                   keep: int = 10) -> tuple[int, list[str]]:
     """Starvation screen: flag ops that ran longer than `window` and spans
     longer than `window` during which ops were in flight but none
-    responded."""
+    responded. Returns the number of findings and the reports of the
+    first `keep`: slow ops in record order, then silent spans in time
+    order. Only the kept reports are formatted."""
     reports = []
+    count = 0
     for r in records:
         if r.t2 - r.t1 > window:
-            reports.append(
-                f"op ran {r.t2 - r.t1} > {window}: {r.line()}")
+            if count < keep:
+                reports.append(
+                    f"op ran {r.t2 - r.t1} > {window}: {r.line()}")
+            count += 1
     responses = sorted(r.t2 for r in records)
     spans = sorted((r.t1, r.t2) for r in records)
     # the gaps come in order of their start a, so one sweep over the spans
@@ -366,8 +372,10 @@ def progress_audit(records: list[OpRecord], window: int) -> list[str]:
             latest = max(latest, spans[j][1])
             j += 1
         if b - a > window and latest >= b:
-            reports.append(f"no response between {a} and {b}")
-    return reports
+            if count < keep:
+                reports.append(f"no response between {a} and {b}")
+            count += 1
+    return count, reports
 
 
 # --- trace files -------------------------------------------------------------

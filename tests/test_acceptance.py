@@ -258,10 +258,11 @@ def test_criterion_7_progress_with_suspended_thread():
     cfg = RunConfig(threads=8, ops_per_thread=12500, duration=30.0, seed=77)
     result = run_stress(cfg, check=False)
     problems += result.structure_violations
-    reports = progress_audit(result.records, 100_000_000)
-    gaps = [r for r in reports if r.startswith("no response")]
-    slow = len(reports) - len(gaps)
-    problems += gaps[:5]
+    window = 100_000_000
+    slow = sum(1 for r in result.records if r.t2 - r.t1 > window)
+    # slow ops come first, so keeping slow + 5 keeps the first 5 gaps
+    _, reports = progress_audit(result.records, window, keep=slow + 5)
+    problems += reports[slow:]
 
     _verdict(7, problems,
              f"survivors ran {completed} ops past the parked owner; "

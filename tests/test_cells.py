@@ -1,5 +1,9 @@
+import pytest
+
+from lftree import cells
 from lftree.cells import Cell, cas, cas_status
-from lftree.nodes import InternalNode, LeafNode
+from lftree.nodes import InternalNode, LeafNode, TreeConfig
+from lftree.tree import LeafTree
 
 
 def test_load_and_cas():
@@ -49,3 +53,63 @@ def test_cas_status_compares_by_equality():
     assert node.status == (0, 0, 1, 0)
     assert not cas_status(node, (1, 2, 0, 1), (0, 0, 2, 0))
     assert node.status == (0, 0, 1, 0)
+
+
+class _Raises:
+    """A slot value whose comparison fails."""
+
+    def __eq__(self, other):
+        raise RuntimeError("no comparison")
+
+    __hash__ = object.__hash__
+
+
+def _stripe_of(words, i=0):
+    return cells._LOCKS[((id(words) >> 4) + i) & cells._MASK]
+
+
+def test_cas_leaves_its_stripe_unlocked():
+    words = [5, 0]
+    assert cas(words, 1, 0, 7)                      # success
+    assert not _stripe_of(words, 1).locked()
+    assert not cas(words, 0, 4, 9)                  # failure
+    assert not _stripe_of(words, 0).locked()
+    words[0] = _Raises()
+    with pytest.raises(RuntimeError):
+        cas(words, 0, 4, 9)                         # the comparison raises
+    assert not _stripe_of(words, 0).locked()
+
+
+def test_cas_status_leaves_its_stripe_unlocked():
+    node = InternalNode([LeafNode(4)])
+    stripe = cells._LOCKS[(id(node) >> 4) & cells._MASK]
+    assert cas_status(node, node.status, (0, 0, 1, 0))
+    assert not stripe.locked()
+    assert not cas_status(node, (0, 0, 0, 0), (0, 0, 2, 0))
+    assert not stripe.locked()
+    node.status = _Raises()
+    with pytest.raises(RuntimeError):
+        cas_status(node, (0, 0, 1, 0), (0, 0, 2, 0))
+    assert not stripe.locked()
+
+
+class _Refuses(list):
+    """A counter or record list whose update fails."""
+
+    def __iadd__(self, other):
+        raise RuntimeError("no update")
+
+    def append(self, item):
+        raise RuntimeError("no update")
+
+
+@pytest.mark.parametrize("field", ["begins", "records", "clears"])
+def test_rebalance_stats_lock_is_released_when_an_update_raises(field):
+    # a begin counts under the stats lock, a link swap appends its record
+    # and a clear counts; the fifth insert splits the first leaf
+    tree = LeafTree(TreeConfig(4, 4, 2))
+    setattr(tree.stats, field, _Refuses())
+    with pytest.raises(RuntimeError):
+        for k in range(1, 6):
+            tree.insert(k)
+    assert not tree.stats.lock.locked()

@@ -58,7 +58,7 @@ def test_public_methods_match_the_generator_cores(shape):
 def test_derived_cores_are_plain_functions():
     direct = tree_mod._direct
     for name in ("_search", "_remove", "_insert", "_descend", "_scan",
-                 "_find"):
+                 "_find", "_probe"):
         assert inspect.isgeneratorfunction(getattr(tree_mod, name))
         assert not inspect.isgeneratorfunction(getattr(direct, name))
     direct_rb = direct.rb

@@ -1,6 +1,8 @@
 """Stress harness: config validation, workload generation, single and
 multi thread runs, duration cycling, and the bench loop."""
 
+import hashlib
+
 import pytest
 
 from lftree import harness
@@ -101,6 +103,33 @@ def test_single_thread_traces_are_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# sha256 over (op records, rebalance records, snapshot) of single-thread
+# runs, which use the logical clock: a change to the write path that moves
+# a result, a reshape or a read-back shows here. Taken before the insert
+# probe, the CAS without `with` and the leaner plan records went in.
+WRITE_PATH_DIGESTS = [
+    (RunConfig(order=4, leaf_capacity=4, min_size=2, threads=1,
+               ops_per_thread=20_000, key_range=4096, mix=(0.2, 0.4, 0.4),
+               seed=5),
+     "dd3703bfdc3ac811600b657b22bfd858fd79dde95d7982b34edb6fd9ba6dc7e6"),
+    (RunConfig(order=32, leaf_capacity=32, min_size=8, threads=1,
+               ops_per_thread=40_000, key_range=1 << 16,
+               mix=(0.2, 0.5, 0.3), seed=6),
+     "8873090d7644973a3ed46dc7bb29d720f955421e7d80afe97d6ee666be32a04f"),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", WRITE_PATH_DIGESTS,
+                         ids=["k4", "k32"])
+def test_single_thread_write_path_is_pinned(cfg, digest):
+    result = run_stress(cfg)
+    assert result.ok, result.summary()
+    blob = repr(([tuple(r) for r in result.records],
+                 [tuple(r) for r in result.stats["records"]],
+                 result.snapshot)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_threaded_run_checks_clean():
     cfg = small(threads=2, ops_per_thread=3000, key_range=256, seed=9)
     result = run_stress(cfg)
@@ -142,6 +171,15 @@ def test_summary_mentions_the_headline_numbers():
     result = run_stress(small())
     text = result.summary()
     assert "2000 ops" in text and "violations" in text
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stress_counts_voluntary_switches(threads):
+    result = run_stress(small(threads=threads, ops_per_thread=1000))
+    assert isinstance(result.voluntary_switches, int)
+    assert result.voluntary_switches >= 0
+    per_kop = result.voluntary_switches * 1000 / len(result.records)
+    assert f"{per_kop:.1f} voluntary switches per 1k ops" in result.summary()
 
 
 # --- bench --------------------------------------------------------------

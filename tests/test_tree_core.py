@@ -183,12 +183,18 @@ def test_leaf_scans_match_the_word_layout(words, a, b):
     e1, e2 = min(a, b), max(a, b)
     leaf = LeafNode(len(words), words)
     (key, slot, word), empty, live = scan_by_definition(words, e1, e2)
-    want_scan = (slot, word, empty, live)
+    want_scan = (slot, word, live)
     direct = tree_mod._direct
     assert sim.run(tree_mod._scan(leaf, e1, e2)) == want_scan
     assert direct._scan(leaf, e1, e2) == want_scan
     assert sim.run(tree_mod._find(leaf, e1, e2)) == key
     assert direct._find(leaf, e1, e2) == key
+    # an insert of `a` probes for a itself and the first writable empty slot
+    (held, _, _), empty, _ = scan_by_definition(words, a, a)
+    want_probe = (held == a, empty)
+    assert sim.run(tree_mod._probe(leaf, a)) == want_probe
+    assert direct._probe(leaf, a) == want_probe
     # one scheduling point before every slot read, and no other
-    for core in (tree_mod._scan, tree_mod._find):
-        assert sum(1 for _ in core(leaf, e1, e2)) == len(words)
+    for core, args in ((tree_mod._scan, (e1, e2)), (tree_mod._find, (e1, e2)),
+                       (tree_mod._probe, (a,))):
+        assert sum(1 for _ in core(leaf, *args)) == len(words)

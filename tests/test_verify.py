@@ -412,7 +412,8 @@ def test_progress_audit_flags_slow_op_and_silent_span():
         OpRecord(0, SEARCH, 1, 1, 0, 100, 0),
         OpRecord(1, SEARCH, 1, 1, 90, 1000, 0),
     ]
-    reports = progress_audit(recs, 500)
+    count, reports = progress_audit(recs, 500)
+    assert count == len(reports) == 2
     assert any("op ran 910 > 500" in r for r in reports)
     assert any("no response between 100 and 1000" in r for r in reports)
 
@@ -422,24 +423,24 @@ def test_progress_audit_ignores_gaps_with_nothing_in_flight():
         OpRecord(0, SEARCH, 1, 1, 0, 100, 0),
         OpRecord(0, SEARCH, 1, 1, 800, 900, 0),
     ]
-    assert progress_audit(recs, 500) == []
+    assert progress_audit(recs, 500) == (0, [])
 
 
 def test_progress_audit_quiet_on_steady_throughput():
     recs = [OpRecord(0, SEARCH, 1, 1, 10 * i, 10 * i + 8, 0)
             for i in range(50)]
-    assert progress_audit(recs, 50) == []
+    assert progress_audit(recs, 50) == (0, [])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 30)),
                 max_size=25),
-       st.integers(0, 20))
-def test_progress_audit_matches_the_gap_by_gap_screen(spans, window):
+       st.integers(0, 20), st.integers(0, 40))
+def test_progress_audit_matches_the_gap_by_gap_screen(spans, window, keep):
     recs = [OpRecord(i % 3, SEARCH, 1, 1, t1, t1 + d, 0)
             for i, (t1, d) in enumerate(spans)]
-    assert progress_audit(recs, window) == \
-        reference.progress_audit_by_scan(recs, window)
+    want = reference.progress_audit_by_scan(recs, window)
+    assert progress_audit(recs, window, keep) == (len(want), want[:keep])
 
 
 def test_progress_audit_is_near_linear():
@@ -448,8 +449,24 @@ def test_progress_audit_is_near_linear():
     recs = [OpRecord(0, SEARCH, 1, 1, 2 * i, 2 * i + 1, 0)
             for i in range(50_000)]
     t0 = time.perf_counter()
-    assert progress_audit(recs, 1) == []
+    assert progress_audit(recs, 1) == (0, [])
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_progress_audit_formats_only_the_kept_reports(monkeypatch):
+    # at window 1 every op of a 2-thread run is slow and most gaps are
+    # silent, yet only the first `keep` findings become strings
+    result = run_stress(RunConfig(order=4, leaf_capacity=4, min_size=2,
+                                  threads=2, ops_per_thread=500,
+                                  key_range=256, seed=3), check=False)
+    want = reference.progress_audit_by_scan(result.records, 1)
+    assert len(want) > len(result.records) > 10
+    lines = []
+    line = OpRecord.line
+    monkeypatch.setattr(OpRecord, "line",
+                        lambda r: lines.append(r) or line(r))
+    assert progress_audit(result.records, 1, keep=10) == (len(want), want[:10])
+    assert len(lines) == 10
 
 
 # --- trace files --------------------------------------------------------
