@@ -23,9 +23,7 @@ DEAD = RO_BIT
 def encode(key: int) -> int:
     """Writable word carrying `key`. Keys are exactly `int`: a float, a
     string or a bool (even True, which equals 1) is rejected."""
-    if type(key) is not int:
-        raise ValueError(f"key must be an int, not {type(key).__name__}: "
-                         f"{key!r}")
+    _exact_int("key", key)
     if not MIN_KEY <= key <= MAX_KEY:
         raise ValueError(f"key out of range [1, 2**63-1]: {key!r}")
     return key
@@ -34,11 +32,13 @@ def encode(key: int) -> int:
 def pack(key: int, value: int, value_bits: int) -> int:
     """Pack a (key, value) pair into one payload: key << value_bits | value.
 
-    The combined width must fit the 63 payload bits and the packed payload
+    Key, value and value_bits are exactly `int`, as for `encode`. The
+    combined width must fit the 63 payload bits and the packed payload
     must be non-zero (payload 0 means an empty slot).
     """
-    if not 0 < value_bits < PAYLOAD_BITS:
-        raise ValueError(f"value_bits out of range (0, 63): {value_bits}")
+    _exact_int("key", key)
+    _exact_int("value", value)
+    _check_bits(value_bits)
     if value < 0 or value >> value_bits:
         raise ValueError(f"value needs more than {value_bits} bits: {value}")
     if key <= 0 or (key << value_bits) > PAYLOAD_MASK:
@@ -48,7 +48,18 @@ def pack(key: int, value: int, value_bits: int) -> int:
 
 def unpack(word: int, value_bits: int) -> tuple[int, int]:
     """Inverse of pack, ignoring the read-only flag."""
-    if not 0 < value_bits < PAYLOAD_BITS:
-        raise ValueError(f"value_bits out of range (0, 63): {value_bits}")
+    _check_bits(value_bits)
     p = word & PAYLOAD_MASK
     return p >> value_bits, p & ((1 << value_bits) - 1)
+
+
+def _exact_int(name: str, x) -> None:
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an int, not {type(x).__name__}: "
+                         f"{x!r}")
+
+
+def _check_bits(value_bits) -> None:
+    _exact_int("value_bits", value_bits)
+    if not 0 < value_bits < PAYLOAD_BITS:
+        raise ValueError(f"value_bits out of range (0, 63): {value_bits}")

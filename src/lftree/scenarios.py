@@ -68,12 +68,7 @@ def _settled(tree, problems, swaps: int, seq: int, keys: list) -> None:
 
 
 def _solo_steps(gen) -> int:
-    th = sim.SimThread(gen)
-    n = 0
-    while not th.done:
-        sim.step(th)
-        n += 1
-    return n
+    return sim._drain(sim.SimThread(gen))
 
 
 def begin_race(bound: int = None) -> ScenarioReport:

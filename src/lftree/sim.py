@@ -13,6 +13,12 @@ once per complete schedule and schedules replay bit-identically.
 `run_seeded` drives the same setup/check pair through pseudo-random
 schedules instead, for thread counts where enumeration is too wide.
 
+`step` takes one step and serves the branch points. Wherever no choice is
+left (past the bound, one thread left, `run`), a thread runs to completion
+in one tight loop, `_drain`, which ticks the clock before every step just
+as repeated `step` calls would: steps, clock stamps, schedules and picks
+are the same either way.
+
 A Clock counts scheduler steps; operation wrappers stamp their records with
 it, giving small-model histories integer timestamps the history checker can
 consume directly.
@@ -20,6 +26,7 @@ consume directly.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, NamedTuple, Optional
 
 from .verify import INSERT, REMOVE, SEARCH, OpRecord
@@ -51,11 +58,27 @@ def step(thread: SimThread, clock: Optional[Clock] = None) -> None:
         thread.result = stop.value
 
 
+def _drain(thread: SimThread, clock: Optional[Clock] = None) -> int:
+    """Run a thread to completion, ticking the clock before every step as
+    `step` does. Returns the number of steps taken."""
+    if clock is None:
+        clock = Clock()
+    t0 = clock.t
+    gen = thread.gen
+    try:
+        while True:
+            clock.t += 1
+            next(gen)
+    except StopIteration as stop:
+        thread.done = True
+        thread.result = stop.value
+    return clock.t - t0
+
+
 def run(gen):
     """Drive one generator to completion, no interleaving."""
     th = SimThread(gen)
-    while not th.done:
-        step(th)
+    _drain(th)
     return th.result
 
 
@@ -63,11 +86,13 @@ def run_round_robin(gens, clock: Optional[Clock] = None):
     """One step per runnable thread, cycling until all finish."""
     threads = [SimThread(g) for g in gens]
     alive = threads
-    while alive:
+    while len(alive) > 1:
         for th in alive:
             step(th, clock)
             if th.done:  # the round goes on over the list it started with
                 alive = [t for t in alive if not t.done]
+    for th in alive:  # the last one steps alone
+        _drain(th, clock)
     return [th.result for th in threads]
 
 
@@ -107,7 +132,10 @@ def explore(setup, check=None, bound: Optional[int] = None,
     The search is depth first, lowest thread index first. A run replays
     its schedule prefix from a fresh setup; at each new branch point it
     pushes the prefixes of the other runnable threads and goes on with the
-    lowest, so it finishes as a complete schedule.
+    lowest, so it finishes as a complete schedule. Once no branch point is
+    left (past the bound, or one thread left) the remaining threads run to
+    completion one after the other in thread order, each in one loop; the
+    steps and clock stamps are those of stepping them one at a time.
     """
     if bound is not None and bound < 0:
         raise ValueError(f"explore: bound must be >= 0, got {bound}")
@@ -123,10 +151,8 @@ def explore(setup, check=None, bound: Optional[int] = None,
         replay = iter(schedule)
         pending = next(replay, None)
         steps = 0
-        while alive:
-            if len(alive) == 1:
-                pick = alive[0]
-            elif pending is not None:
+        while len(alive) > 1:
+            if pending is not None:
                 pick = pending
                 pending = next(replay, None)
             elif bound is None or steps < bound:
@@ -135,12 +161,14 @@ def explore(setup, check=None, bound: Optional[int] = None,
                 pick = alive[0]
                 schedule += (pick,)
             else:
-                pick = alive[0]  # past the bound: drain lowest index first
+                break  # past the bound
             th = threads[pick]
             step(th, clock)
             steps += 1
             if th.done:
                 alive.remove(pick)
+        for i in alive:  # no branch point left: lowest index first
+            _drain(threads[i], clock)
 
         count += 1
         if max_schedules is not None and count > max_schedules:
@@ -160,10 +188,11 @@ def run_seeded(setup, check=None, seed: int = 0,
     """Drive `runs` pseudo-random schedules from one seed.
 
     Same setup/check contract as explore. The recorded schedule is the
-    full pick sequence, so a failure replays without the rng.
+    full pick sequence, so a failure replays without the rng. The rng
+    draws one pick per step while two or more threads are runnable; the
+    last one runs to completion in one loop, its picks recorded all the
+    same.
     """
-    import random
-
     if runs < 1:
         raise ValueError(f"run_seeded: runs must be >= 1, got {runs}")
     rng = random.Random(seed)
@@ -174,13 +203,15 @@ def run_seeded(setup, check=None, seed: int = 0,
         threads = [SimThread(g) for g in gens]
         alive = list(range(len(threads)))
         picks = []
-        while alive:
-            pick = alive[rng.randrange(len(alive))] if len(alive) > 1 else alive[0]
+        while len(alive) > 1:
+            pick = alive[rng.randrange(len(alive))]
             picks.append(pick)
             th = threads[pick]
             step(th, clock)
             if th.done:
                 alive.remove(pick)
+        for i in alive:
+            picks += [i] * _drain(threads[i], clock)
         if check is not None:
             try:
                 problems = check(ctx, threads, tuple(picks))
@@ -194,6 +225,8 @@ def run_seeded(setup, check=None, seed: int = 0,
 def op_thread(tree, clock: Clock, tid: int, ops, out: list):
     """Generator running a list of (kind, e1, e2) ops against the tree,
     appending clock-stamped records to `out`."""
+    new = tuple.__new__  # an OpRecord, minus its Python-level __new__
+
     def runner():
         for kind, e1, e2 in ops:
             t1 = clock.t
@@ -205,5 +238,5 @@ def op_thread(tree, clock: Clock, tid: int, ops, out: list):
                 r = 1 if (yield from tree.insert_gen(e1)) else 0
             else:
                 raise ValueError(f"unknown op kind: {kind!r}")
-            out.append(OpRecord(tid, kind, e1, e2, t1, clock.t, r))
+            out.append(new(OpRecord, (tid, kind, e1, e2, t1, clock.t, r)))
     return runner()

@@ -102,25 +102,34 @@ class LeafTree:
     def snapshot(self) -> list[int]:
         """Sorted live keys. Raises if any key appears twice."""
         keys = []
-        for leaf, _, _ in self.leaves():
-            for w in leaf.slots:
-                p = w & PAYLOAD_MASK
-                if p:
-                    keys.append(p)
+        todo = [self.root]
+        while todo:
+            node = todo.pop()
+            if type(node) is LeafNode:
+                for w in node.slots:
+                    p = w & PAYLOAD_MASK
+                    if p:
+                        keys.append(p)
+            else:
+                todo += node.children
         keys.sort()
-        for i in range(1, len(keys)):
-            if keys[i] == keys[i - 1]:
-                raise ValueError(f"duplicate key in tree: {keys[i]}")
+        if len(set(keys)) != len(keys):
+            for i in range(1, len(keys)):
+                if keys[i] == keys[i - 1]:
+                    raise ValueError(f"duplicate key in tree: {keys[i]}")
         return keys
 
     def check_structure(self) -> list[str]:
         """Structural invariant violations (empty list = healthy). Size
         bands are not structural: transient over/underfull nodes are legal
-        and may persist until the next descent notices them."""
-        cfg = self.config
+        and may persist until the next descent notices them.
+
+        One walk, left to right, with an explicit stack: each node's own
+        violations come before its children's."""
+        capacity = self.config.leaf_capacity
         bad: list[str] = []
         seen: set[int] = set()
-        seen_keys: set[int] = set()
+        owner: dict[int, LeafNode] = {}  # key -> the last leaf holding it
         leaf_depths: set[int] = set()
 
         root = self.root
@@ -129,56 +138,65 @@ class LeafTree:
         if not isinstance(root.children[0], InternalNode):
             bad.append("root's child must be an internal node")
 
-        def walk(node, lo, hi, depth):
+        todo = [(root, 0, MAX_KEY, 0)]
+        while todo:
+            node, lo, hi, depth = todo.pop()
             if id(node) in seen:
                 bad.append(f"node reached twice: {node!r}")
-                return
+                continue
             seen.add(id(node))
-            if isinstance(node, LeafNode):
+            if type(node) is LeafNode:
                 leaf_depths.add(depth)
-                if len(node.slots) != cfg.leaf_capacity:
-                    bad.append(f"leaf has {len(node.slots)} slots")
-                local: set[int] = set()
-                for w in node.slots:
-                    p = w & PAYLOAD_MASK
-                    if w & RO_BIT and p:
-                        bad.append(f"frozen key {p} in a reachable leaf")
-                    if not p:
-                        continue
+                slots = node.slots
+                if len(slots) != capacity:
+                    bad.append(f"leaf has {len(slots)} slots")
+                for w in slots:
+                    if 0 < w < RO_BIT:  # a writable key
+                        p = w
+                    else:
+                        p = w & PAYLOAD_MASK
+                        if w & RO_BIT and p:
+                            bad.append(f"frozen key {p} in a reachable leaf")
+                        if not p:
+                            continue
                     if not lo < p <= hi:
                         bad.append(f"key {p} outside its leaf range "
                                    f"({lo}, {hi}]")
-                    if p in local:
-                        bad.append(f"key {p} twice in one leaf")
-                    local.add(p)
-                    if p in seen_keys:
+                    held = owner.get(p)
+                    if held is not None:
+                        if held is node:
+                            bad.append(f"key {p} twice in one leaf")
                         bad.append(f"key {p} in two leaves")
-                    seen_keys.add(p)
-                return
+                    owner[p] = node
+                continue
             st = node.status
             if st[3] != IDLE:
                 bad.append(f"non-idle status at quiesce: {st}")
             seps = node.separators
-            n = len(node.children)
-            if n != len(seps) + 1:
-                bad.append(f"{n} children with {len(seps)} separators")
+            children = node.children
+            n = len(children)
+            m = len(seps)
+            if n != m + 1:
+                bad.append(f"{n} children with {m} separators")
             if n < 1:
                 bad.append("internal node with no children")
-            for j in range(len(seps)):
-                s = seps[j]
+            prev = None
+            for s in seps:
                 if not lo < s < hi:
                     bad.append(f"separator {s} outside ({lo}, {hi})")
-                if j > 0 and seps[j - 1] >= s:
+                if prev is not None and prev >= s:
                     bad.append(f"separators not increasing: {seps}")
-            kinds = {isinstance(c, LeafNode) for c in node.children}
-            if len(kinds) > 1:
-                bad.append("mixed leaf and internal children")
-            for j, child in enumerate(node.children):
-                clo = seps[j - 1] if j > 0 else lo
-                chi = seps[j] if j < len(seps) else hi
-                walk(child, clo, chi, depth + 1)
-
-        walk(root, 0, MAX_KEY, 0)
+                prev = s
+            if n:
+                leafy = type(children[0]) is LeafNode
+                for child in children:
+                    if (type(child) is LeafNode) is not leafy:
+                        bad.append("mixed leaf and internal children")
+                        break
+            depth += 1
+            for j in range(n - 1, -1, -1):  # popped left to right
+                todo.append((children[j], seps[j - 1] if j else lo,
+                             seps[j] if j < m else hi, depth))
         if len(leaf_depths) > 1:
             bad.append(f"leaves at different depths: {sorted(leaf_depths)}")
         return bad

@@ -169,10 +169,19 @@ class HistoryIndex:
         for _, kind, e1, _, t1, t2, result in records:
             if kind == INSERT:
                 if result == 1:
-                    ins.setdefault(e1, []).append((t1, t2))
+                    spans = ins.get(e1)
+                    if spans is None:
+                        ins[e1] = [(t1, t2)]
+                    else:
+                        spans.append((t1, t2))
             elif kind == REMOVE and result > 0:
-                ins.setdefault(result, [])
-                rem.setdefault(result, []).append((t2, t1))
+                if result not in ins:
+                    ins[result] = []
+                spans = rem.get(result)
+                if spans is None:
+                    rem[result] = [(t2, t1)]
+                else:
+                    spans.append((t2, t1))
         for spans in rem.values():
             spans.sort()
         self.windows = windows = {}
@@ -218,24 +227,35 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
     Malformed records are reported as violations, never raised."""
     out: list[Violation] = []
     sane: list[OpRecord] = []
-    by_tid: dict[int, list[OpRecord]] = {}
+    last: dict[int, int] = {}  # tid -> response of its latest sane record
+    in_order = True  # each thread's records come in time order, disjoint
     for r in records:
         tid, kind, e1, e2, a, b, res = r
-        bad = _malformed(kind, e1, e2, a, b, res)
-        if bad:
-            out.append(Violation("malformed-record", r, bad))
-            continue
+        if not (a < b and 1 <= e1 <= e2
+                and (res >= 0 and (kind == SEARCH or kind == REMOVE)
+                     or kind == INSERT and e1 == e2
+                     and (res == 0 or res == 1))):
+            bad = _malformed(kind, e1, e2, a, b, res)
+            if bad:
+                out.append(Violation("malformed-record", r, bad))
+                continue
         sane.append(r)
-        by_tid.setdefault(tid, []).append(r)
+        if a < last.get(tid, a):
+            in_order = False
+        last[tid] = b
 
-    for tid, rs in by_tid.items():
-        rs.sort(key=_INTERVAL)
-        for prev, cur in zip(rs, rs[1:]):
-            if cur.t1 < prev.t2:
-                out.append(Violation(
-                    "overlapping-thread-ops", cur,
-                    f"thread {tid} invoked at {cur.t1} before "
-                    f"{prev.kind} responded at {prev.t2}"))
+    if not in_order:  # sort each thread's records and report overlaps
+        by_tid: dict[int, list[OpRecord]] = {}
+        for r in sane:
+            by_tid.setdefault(r.tid, []).append(r)
+        for tid, rs in by_tid.items():
+            rs.sort(key=_INTERVAL)
+            for prev, cur in zip(rs, rs[1:]):
+                if cur.t1 < prev.t2:
+                    out.append(Violation(
+                        "overlapping-thread-ops", cur,
+                        f"thread {tid} invoked at {cur.t1} before "
+                        f"{prev.kind} responded at {prev.t2}"))
 
     idx = HistoryIndex(sane)
 
@@ -291,8 +311,12 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
                         f"{e1} was never there to collide with"))
 
     # removal lifetimes must pair off with distinct insert lifetimes
+    rem = idx.rem
     for key, starts in idx.ins.items():
-        for i, (rt2, _) in enumerate(idx.rem.get(key, ())):
+        ends = rem.get(key)
+        if not ends:
+            continue
+        for i, (rt2, _) in enumerate(ends):
             available = bisect_left(starts, (rt2,))
             if available < i + 1:
                 out.append(Violation(

@@ -6,17 +6,20 @@ interval-set model built on a plain set, the split/merge/redistribute
 arithmetic, a brute-force splitter, a brute-force history feasibility
 check for tiny histories, the presence bounds evaluated straight from
 their definitions, builders that assemble exact tree shapes node by node,
-a leaf scan read off the word layout, a gap-by-gap starvation screen, and
-a schedule enumerator that replays every prefix from scratch.
+a leaf scan read off the word layout, a gap-by-gap starvation screen, a
+schedule enumerator that replays every prefix from scratch, round-robin and
+seeded drivers that take every step one at a time, and the structure check
+as a recursive walk.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left
 from itertools import permutations
 
-from lftree.keyspace import encode
-from lftree.nodes import InternalNode, LeafNode, TreeConfig
+from lftree.keyspace import MAX_KEY, PAYLOAD_MASK, RO_BIT, encode
+from lftree.nodes import IDLE, InternalNode, LeafNode, TreeConfig
 from lftree.tree import LeafTree
 from lftree.verify import INSERT, REMOVE, SEARCH
 
@@ -196,6 +199,21 @@ class ReferenceIndex:
         return 0
 
 
+def thread_overlaps(records) -> list:
+    """(record, predecessor) for every record invoked before the previous
+    record of its thread responded: threads in order of first appearance,
+    each one's records sorted by (t1, t2)."""
+    by_tid = {}
+    for r in records:
+        by_tid.setdefault(r.tid, []).append(r)
+    out = []
+    for rs in by_tid.values():
+        rs = sorted(rs, key=lambda r: (r.t1, r.t2))
+        out += [(cur, prev) for prev, cur in zip(rs, rs[1:])
+                if cur.t1 < prev.t2]
+    return out
+
+
 # --- leaf words, straight from the keyspace definition ----------------------
 
 
@@ -299,3 +317,129 @@ def explore_by_replay(setup, check=None, bound=None) -> tuple:
 
     visit(())
     return schedules, failures
+
+
+def _take_step(th, clock):
+    """One scheduler step: tick the clock (if any), advance the generator."""
+    if clock is not None:
+        clock.t += 1
+    try:
+        next(th.gen)
+    except StopIteration as stop:
+        th.done, th.result = True, stop.value
+
+
+def round_robin_by_step(gens, clock=None) -> list:
+    """Reference for sim.run_round_robin: rounds over the threads still
+    runnable when the round starts, one step each, until all finish.
+    Returns the results in thread order."""
+    threads = [_Thread(g) for g in gens]
+    while True:
+        runnable = [th for th in threads if not th.done]
+        if not runnable:
+            return [th.result for th in threads]
+        for th in runnable:
+            _take_step(th, clock)
+
+
+def seeded_by_step(setup, check=None, seed: int = 0, runs: int = 1) -> tuple:
+    """Reference for sim.run_seeded: (runs, failures). Each run sets up with
+    a fresh clock and, while any thread is runnable, picks one: uniformly
+    by one draw from Random(seed) when two or more are, else the last one
+    without a draw. The schedule handed to `check` is every pick."""
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(runs):
+        clock = _Clock()
+        ctx, gens = setup(clock)
+        threads = [_Thread(g) for g in gens]
+        picks = []
+        while True:
+            runnable = [i for i, th in enumerate(threads) if not th.done]
+            if not runnable:
+                break
+            if len(runnable) > 1:
+                pick = runnable[rng.randrange(len(runnable))]
+            else:
+                pick = runnable[0]
+            picks.append(pick)
+            _take_step(threads[pick], clock)
+        if check is not None:
+            try:
+                problems = check(ctx, threads, tuple(picks))
+            except AssertionError as exc:
+                problems = [f"assertion: {exc}"]
+            if problems:
+                failures.append((tuple(picks), list(problems)))
+    return runs, failures
+
+
+# --- structure invariants, one recursive walk --------------------------------
+
+
+def check_structure_by_walk(tree) -> list:
+    """Reference for LeafTree.check_structure: a recursive walk, left to
+    right, that reports each node's own violations before its children's,
+    then leaves at different depths."""
+    cfg = tree.config
+    bad = []
+    seen, seen_keys, leaf_depths = set(), set(), set()
+
+    root = tree.root
+    if len(root.children) != 1 or root.separators:
+        bad.append("root must have exactly one child and no separators")
+    if not isinstance(root.children[0], InternalNode):
+        bad.append("root's child must be an internal node")
+
+    def walk(node, lo, hi, depth):
+        if id(node) in seen:
+            bad.append(f"node reached twice: {node!r}")
+            return
+        seen.add(id(node))
+        if isinstance(node, LeafNode):
+            leaf_depths.add(depth)
+            if len(node.slots) != cfg.leaf_capacity:
+                bad.append(f"leaf has {len(node.slots)} slots")
+            local = set()
+            for w in node.slots:
+                p = w & PAYLOAD_MASK
+                if w & RO_BIT and p:
+                    bad.append(f"frozen key {p} in a reachable leaf")
+                if not p:
+                    continue
+                if not lo < p <= hi:
+                    bad.append(f"key {p} outside its leaf range ({lo}, {hi}]")
+                if p in local:
+                    bad.append(f"key {p} twice in one leaf")
+                local.add(p)
+                if p in seen_keys:
+                    bad.append(f"key {p} in two leaves")
+                seen_keys.add(p)
+            return
+        st = node.status
+        if st[3] != IDLE:
+            bad.append(f"non-idle status at quiesce: {st}")
+        seps = node.separators
+        n = len(node.children)
+        if n != len(seps) + 1:
+            bad.append(f"{n} children with {len(seps)} separators")
+        if n < 1:
+            bad.append("internal node with no children")
+        for j in range(len(seps)):
+            s = seps[j]
+            if not lo < s < hi:
+                bad.append(f"separator {s} outside ({lo}, {hi})")
+            if j > 0 and seps[j - 1] >= s:
+                bad.append(f"separators not increasing: {seps}")
+        kinds = {isinstance(c, LeafNode) for c in node.children}
+        if len(kinds) > 1:
+            bad.append("mixed leaf and internal children")
+        for j, child in enumerate(node.children):
+            clo = seps[j - 1] if j > 0 else lo
+            chi = seps[j] if j < len(seps) else hi
+            walk(child, clo, chi, depth + 1)
+
+    walk(root, 0, MAX_KEY, 0)
+    if len(leaf_depths) > 1:
+        bad.append(f"leaves at different depths: {sorted(leaf_depths)}")
+    return bad

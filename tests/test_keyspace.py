@@ -53,6 +53,28 @@ def test_pack_overflow():
             pack(1, 0, bits)
 
 
+@pytest.mark.parametrize("args", [
+    (True, 1, 4),      # True == 1 would pack to 17
+    (2, True, 4),      # True == 1 would pack to 33
+    (2, 1, True),
+    (1.5, 1, 4),
+    (2, 1.0, 4),
+    (2, 1, 4.0),
+    ("2", 1, 4),
+    (2, None, 4),
+], ids=["bool-key", "bool-value", "bool-bits", "float-key", "float-value",
+        "float-bits", "str-key", "none-value"])
+def test_pack_rejects_non_int_arguments(args):
+    with pytest.raises(ValueError, match="must be an int"):
+        pack(*args)
+
+
+def test_unpack_rejects_non_int_value_bits():
+    for bits in (4.0, True, "4"):
+        with pytest.raises(ValueError, match="must be an int"):
+            unpack(17, bits)
+
+
 @given(st.integers(min_value=MIN_KEY, max_value=MAX_KEY))
 def test_encode_payload_round_trip(key):
     assert encode(key) & PAYLOAD_MASK == key

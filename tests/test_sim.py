@@ -1,7 +1,9 @@
 """Scheduler mechanics: step accounting, exhaustive enumeration counts,
 bound/drain behavior, seeded replay, and operation record stamping."""
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,82 @@ def test_run_seeded_schedules_replay_without_the_rng():
         assert tuple(replay_log) == log
 
 
+# --- the drivers against their step-by-step references -------------------
+
+
+class Boom(Exception):
+    pass
+
+
+def ending(yields, log, tag, clock, fail):
+    """A generator taking yields+1 steps that logs (tag, clock reading) at
+    each step and then returns a value or, with `fail`, raises Boom."""
+    for _ in range(yields):
+        log.append((tag, clock and clock.t))
+        yield
+    log.append((tag, clock and clock.t))
+    if fail:
+        raise Boom(tag)
+    return (tag, yields)
+
+
+_drivers = st.tuples(
+    st.lists(st.integers(0, 6), min_size=1, max_size=4),  # yields per thread
+    st.none() | st.integers(0, 3),                         # the failing one
+    st.booleans())                                         # with a clock
+
+
+def _outcome(call):
+    try:
+        return "returned", call()
+    except Boom as exc:
+        return "raised", exc.args
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drivers)
+def test_run_round_robin_matches_the_step_reference(case):
+    yields, fail, clocked = case
+
+    def drive(driver):
+        clock = sim.Clock() if clocked else None
+        log = []
+        gens = [ending(y, log, i, clock, i == fail)
+                for i, y in enumerate(yields)]
+        return _outcome(lambda: driver(gens, clock)), log, clock and clock.t
+
+    assert (drive(sim.run_round_robin)
+            == drive(reference.round_robin_by_step))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drivers, st.integers(0, 1 << 16), st.integers(1, 6))
+def test_run_seeded_matches_the_step_reference(case, seed, runs):
+    yields, fail, clocked = case
+
+    def drive(driver):
+        seen = []
+
+        def setup(clock):
+            log = []
+            clock = clock if clocked else None
+            return (log, clock), [ending(y, log, i, clock, i == fail)
+                                  for i, y in enumerate(yields)]
+
+        def check(ctx, threads, schedule):
+            log, clock = ctx
+            seen.append((schedule, log, clock and clock.t,
+                         [th.result for th in threads]))
+            if len(schedule) % 3 == 0:
+                return ["flagged"]
+
+        got = _outcome(lambda: tuple(driver(setup, check, seed=seed,
+                                            runs=runs)))
+        return got, seen
+
+    assert drive(sim.run_seeded) == drive(reference.seeded_by_step)
+
+
 # --- operation record stamping ------------------------------------------
 
 
@@ -321,3 +399,60 @@ def test_op_thread_rejects_unknown_kind():
     gen = sim.op_thread(tree, sim.Clock(), 0, [("DROP", 1, 1)], [])
     with pytest.raises(ValueError, match="unknown op kind"):
         sim.run(gen)
+
+
+# --- the explorer's output, pinned ----------------------------------------
+
+_SMALL = TreeConfig(3, 4, 2)
+_ALPHABET = ([(SEARCH, k, k) for k in (1, 2, 3, 4)]
+             + [(INSERT, k, k) for k in (1, 2, 3, 4)]
+             + [(REMOVE, k, k) for k in (1, 2, 3, 4)]
+             + [(SEARCH, 1, 4), (SEARCH, 2, 3), (REMOVE, 1, 4), (REMOVE, 2, 3)])
+
+
+def _criterion_8_pairs(n):
+    """The first n 3-op x 3-op pairs of criterion 8's seeded extension, with
+    the empty and the split-forcing prestate alternating."""
+    rng = random.Random(2024)
+    prestates = ((), (10, 20, 30, 40, 50))
+    return [(prestates[i % 2], tuple(rng.choice(_ALPHABET) for _ in range(3)),
+             tuple(rng.choice(_ALPHABET) for _ in range(3)))
+            for i in range(n)]
+
+
+def _pair_setup(pre, wa, wb):
+    def setup(clock):
+        tree = LeafTree(_SMALL)
+        records = []
+        if pre:
+            sim.run_round_robin(
+                [sim.op_thread(tree, clock, 2, [(INSERT, k, k) for k in pre],
+                               records)], clock)
+        return (tree, records, clock), [
+            sim.op_thread(tree, clock, 0, list(wa), records),
+            sim.op_thread(tree, clock, 1, list(wb), records)]
+    return setup
+
+
+def test_explored_schedules_replay_bit_identically():
+    # A sha256 over what every check sees: the schedule, the records, the
+    # snapshot, the clock and the thread results. Taken from the step-by-step
+    # explorer; any change to a step, pick, clock tick or record moves it.
+    digest = hashlib.sha256()
+    calls = 0
+
+    def check(ctx, threads, schedule):
+        nonlocal calls
+        calls += 1
+        tree, records, clock = ctx
+        digest.update(repr((schedule, [tuple(r) for r in records],
+                            tree.snapshot(), clock.t,
+                            [th.result for th in threads])).encode())
+
+    pairs = _criterion_8_pairs(6)
+    for pair in pairs:
+        assert sim.explore(_pair_setup(*pair), check, bound=8).schedules == 256
+    sim.run_seeded(_pair_setup(*pairs[1]), check, seed=11, runs=200)
+    assert calls == 6 * 256 + 200
+    assert digest.hexdigest() == (
+        "9ed87eb6467301b67fdf3cb12a06f6eec422a2a1bafec79215ca146155266f95")

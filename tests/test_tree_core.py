@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,11 @@ from lftree import sim
 from lftree import tree as tree_mod
 from lftree.keyspace import (DEAD, EMPTY, MAX_KEY, MIN_KEY, PAYLOAD_MASK,
                              RO_BIT, encode)
-from lftree.nodes import (FROZEN, IDLE, InternalNode, LeafNode, TreeConfig,
-                          new_tree_root, node_search)
+from lftree.nodes import (FROZEN, IDLE, PREP, SWAP, InternalNode, LeafNode,
+                          TreeConfig, new_tree_root, node_search)
 from lftree.tree import LeafTree
-from reference import build_flat, leaf_key_sets, scan_by_definition
+from reference import (build_flat, check_structure_by_walk, leaf_key_sets,
+                       scan_by_definition)
 
 
 def test_config_validation():
@@ -198,3 +200,146 @@ def test_leaf_scans_match_the_word_layout(words, a, b):
     for core, args in ((tree_mod._scan, (e1, e2)), (tree_mod._find, (e1, e2)),
                        (tree_mod._probe, (a,))):
         assert sum(1 for _ in core(leaf, *args)) == len(words)
+
+
+# --- the structure check against the recursive walk -------------------------
+
+
+def _internal_nodes(tree):
+    """Internal nodes below the root, parents before children."""
+    out, todo = [], [tree.root.children[0]]
+    while todo:
+        node = todo.pop()
+        if type(node) is InternalNode:
+            out.append(node)
+            todo += node.children
+    return out
+
+
+def _duplicate_key(tree, rng):
+    keyed = [(leaf, i) for leaf, _, _ in tree.leaves()
+             for i, w in enumerate(leaf.slots) if w & PAYLOAD_MASK]
+    if not keyed:
+        return False
+    leaf, i = rng.choice(keyed)
+    target, _, _ = rng.choice(tree.leaves())
+    j = rng.randrange(len(target.slots))
+    if target is leaf and j == i:
+        j = (j + 1) % len(target.slots)
+    target.slots[j] = leaf.slots[i] & PAYLOAD_MASK
+    return True
+
+
+def _key_outside_range(tree, rng):
+    bounded = [(leaf, lo, hi) for leaf, lo, hi in tree.leaves()
+               if lo > 0 or hi < MAX_KEY]
+    if not bounded:
+        return False
+    leaf, lo, hi = rng.choice(bounded)
+    leaf.slots[rng.randrange(len(leaf.slots))] = lo if lo > 0 else hi + 1
+    return True
+
+
+def _frozen_key(tree, rng):
+    keyed = [(leaf, i) for leaf, _, _ in tree.leaves()
+             for i, w in enumerate(leaf.slots) if 0 < w < RO_BIT]
+    if not keyed:
+        return False
+    leaf, i = rng.choice(keyed)
+    leaf.slots[i] |= RO_BIT
+    return True
+
+
+def _busy_status(tree, rng):
+    node = rng.choice(_internal_nodes(tree))
+    node.status = (1, 1, 0, rng.choice((PREP, SWAP, FROZEN)))
+    return True
+
+
+def _separators_out_of_order(tree, rng):
+    nodes = [n for n in _internal_nodes(tree) if len(n.separators) >= 2]
+    if not nodes:
+        return False
+    node = rng.choice(nodes)
+    node.separators = node.separators[::-1]
+    return True
+
+
+def _mixed_children(tree, rng):
+    nodes = [n for n in _internal_nodes(tree) if len(n.children) >= 2]
+    if not nodes:
+        return False
+    node = rng.choice(nodes)
+    j = rng.randrange(len(node.children))
+    child = node.children[j]
+    if type(child) is LeafNode:
+        node.children[j] = InternalNode([child])
+    else:
+        node.children[j] = LeafNode(tree.config.leaf_capacity)
+    return True
+
+
+def _uneven_depth(tree, rng):
+    leaves = tree.leaves()
+    if len(leaves) < 2:
+        return False
+    leaf, _, _ = rng.choice(leaves)
+    for node in _internal_nodes(tree):
+        for j, child in enumerate(node.children):
+            if child is leaf:
+                node.children[j] = InternalNode([leaf])
+                return True
+    return False
+
+
+_CORRUPTIONS = (_duplicate_key, _key_outside_range, _frozen_key, _busy_status,
+                _separators_out_of_order, _mixed_children, _uneven_depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([TreeConfig(3, 4, 2), TreeConfig(4, 4, 2),
+                        TreeConfig(3, 8, 2)]),
+       st.lists(st.tuples(st.booleans(), st.integers(1, 80)), max_size=120),
+       st.lists(st.sampled_from(_CORRUPTIONS), max_size=3),
+       st.randoms(use_true_random=False))
+def test_check_structure_matches_the_recursive_walk(cfg, ops, corruptions,
+                                                    rng):
+    tree = LeafTree(cfg)
+    for add, k in ops:
+        if add:
+            tree.insert(k)
+        else:
+            tree.remove(k, k + rng.randrange(4))
+    assert tree.check_structure() == check_structure_by_walk(tree) == []
+    corrupted = [c(tree, rng) for c in corruptions]
+    got = tree.check_structure()
+    assert got == check_structure_by_walk(tree)
+    if len(corrupted) == 1:  # a second corruption may mend the first
+        assert bool(got) == corrupted[0]
+    keys = sorted(k for leaf in leaf_key_sets(tree) for k in leaf)
+    if len(set(keys)) == len(keys):
+        assert tree.snapshot() == keys
+    else:
+        with pytest.raises(ValueError, match="duplicate key"):
+            tree.snapshot()
+
+
+def test_check_structure_reports_every_corruption_kind():
+    # one tree per corruption, each with its own message
+    messages = {
+        _duplicate_key: "twice in one leaf|in two leaves",
+        _key_outside_range: "outside its leaf range",
+        _frozen_key: "frozen key",
+        _busy_status: "non-idle status",
+        _separators_out_of_order: "not increasing",
+        _mixed_children: "mixed leaf and internal children",
+        _uneven_depth: "different depths",
+    }
+    for corrupt, pattern in messages.items():
+        tree = LeafTree(TreeConfig(3, 4, 2))
+        for k in range(1, 60, 2):
+            tree.insert(k)
+        assert corrupt(tree, random.Random(3))
+        got = tree.check_structure()
+        assert got == check_structure_by_walk(tree)
+        assert any(re.search(pattern, b) for b in got), (corrupt, got)

@@ -93,6 +93,31 @@ def test_overlapping_ops_on_one_thread():
     assert rules(recs) == set()
 
 
+_ROWS = st.builds(
+    OpRecord, st.integers(0, 2), st.sampled_from([SEARCH, REMOVE, INSERT,
+                                                   "DELETE"]),
+    st.integers(0, 4), st.integers(0, 4), st.integers(0, 12),
+    st.integers(0, 12), st.integers(-1, 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_ROWS, max_size=12))
+def test_malformed_and_overlapping_records_are_reported_first_in_order(recs):
+    # malformed rows in record order, then every thread's overlaps in order
+    # of first appearance, then the contract rules
+    bad = [(r, verify._malformed(*r[1:])) for r in recs]
+    sane = [r for r, why in bad if not why]
+    want = [("malformed-record", r, why) for r, why in bad if why]
+    want += [("overlapping-thread-ops", cur,
+              f"thread {cur.tid} invoked at {cur.t1} before {prev.kind} "
+              f"responded at {prev.t2}")
+             for cur, prev in reference.thread_overlaps(sane)]
+    got = [(v.rule, v.record, v.detail) for v in check_history(recs)]
+    assert got[:len(want)] == want
+    assert all(rule not in ("malformed-record", "overlapping-thread-ops")
+               for rule, _, _ in got[len(want):])
+
+
 # --- one minimal history per semantic rule ------------------------------
 
 
