@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import reference
 from lftree import sim
-from lftree.nodes import TreeConfig
+from lftree.keyspace import RO_BIT
+from lftree.nodes import PREP, TreeConfig
 from lftree.tree import LeafTree
 from lftree.verify import INSERT, REMOVE, SEARCH, check_history
 
@@ -456,3 +457,59 @@ def test_explored_schedules_replay_bit_identically():
     assert calls == 6 * 256 + 200
     assert digest.hexdigest() == (
         "9ed87eb6467301b67fdf3cb12a06f6eec422a2a1bafec79215ca146155266f95")
+
+
+def _survivor_workload(rng, n):
+    ops = []
+    for _ in range(n):
+        r, k = rng.random(), rng.randint(1, 64)
+        if r < 0.5:
+            ops.append((SEARCH, k, min(64, k + 3)))
+        elif r < 0.75:
+            ops.append((INSERT, k, k))
+        else:
+            ops.append((REMOVE, k, min(64, k + 3)))
+    return ops
+
+
+def test_round_robin_on_tree_operations_is_pinned():
+    # A sha256 over (records, snapshot, clock, results) of two round-robin
+    # runs on the tree: criterion 7's simulated half (two survivors of 600
+    # ops each past a parked rebalance owner) and three threads that finish
+    # at different steps. Any change to a step, pick or clock tick moves it.
+    digest = hashlib.sha256()
+
+    def pin(tree, records, clock, results):
+        digest.update(repr(([tuple(r) for r in records], tree.snapshot(),
+                            clock.t, results)).encode())
+
+    tree = LeafTree(_SMALL)
+    clock = sim.Clock()
+    records = []
+    pin(tree, records, clock, sim.run_round_robin(
+        [sim.op_thread(tree, clock, 0,
+                       [(INSERT, k, k) for k in (10, 20, 30, 40)], records)],
+        clock))
+    leaf = next(iter(tree.leaves()))[0]
+    owner = sim.SimThread(tree.insert_gen(25))
+    sim.run_until(owner, lambda: all(w & RO_BIT for w in leaf.slots), clock)
+    assert not owner.done and tree.root.status[3] == PREP
+    rng = random.Random(99)
+    survivors = [sim.op_thread(tree, clock, tid, _survivor_workload(rng, 600),
+                               records) for tid in (1, 2)]
+    pin(tree, records, clock, sim.run_round_robin(survivors, clock))
+    assert len(records) == 4 + 1200 and not owner.done
+
+    tree = LeafTree(_SMALL)
+    clock = sim.Clock()
+    records = []
+    rng = random.Random(5)
+    lengths = (3, 17, 8)  # each thread finishes at a different step
+    threads = [sim.op_thread(tree, clock, tid, _survivor_workload(rng, n),
+                             records) for tid, n in enumerate(lengths)]
+    pin(tree, records, clock, sim.run_round_robin(threads, clock))
+    assert len(records) == sum(lengths)
+    assert check_history(records) == []
+
+    assert digest.hexdigest() == (
+        "1b68a2c50325d763303722f9f04975c40cbb763d31f40786c76c017d7cb54b90")
