@@ -126,9 +126,8 @@ def cmd_schedules(args) -> int:
         if name in scenarios.SEEDED:
             note = " (seeded)"
         elif expected is not None and args.bound is None:
+            # a drifted count is already among the scenario's failures
             note = f" (analytic {expected})"
-            if report.schedules != expected:
-                failed = True
         status = "ok" if report.ok else "FAILED"
         print(f"{name}: {report.schedules} schedules{note}, {status}, "
               f"{elapsed:.3f} s, "

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import random
 import resource
 import sys
@@ -74,11 +75,13 @@ class RunConfig:
                              f"{self.ops_per_thread}")
         if self.key_range < 4:
             raise ValueError(f"key range must be >= 4: {self.key_range}")
-        if len(self.mix) != 3 or min(self.mix) < 0 or sum(self.mix) <= 0:
-            raise ValueError(f"mix needs three non-negative weights: "
+        if (len(self.mix) != 3 or not all(map(math.isfinite, self.mix))
+                or min(self.mix) < 0 or sum(self.mix) <= 0):
+            raise ValueError(f"mix needs three finite non-negative weights: "
                              f"{self.mix}")
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0: {self.duration}")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError(f"duration must be finite and >= 0: "
+                             f"{self.duration}")
 
     def tree_config(self) -> TreeConfig:
         return TreeConfig(self.order, self.leaf_capacity, self.min_size)
@@ -94,9 +97,9 @@ def parse_mix(text: str) -> tuple:
     except ValueError:
         raise ValueError(f"mix weights must be numbers: {text!r}") from None
     total = sum(weights)
-    if total <= 0 or min(weights) < 0:
-        raise ValueError(f"mix weights must be non-negative and sum > 0: "
-                         f"{text!r}")
+    if not all(map(math.isfinite, weights)) or total <= 0 or min(weights) < 0:
+        raise ValueError(f"mix weights must be finite, non-negative and sum "
+                         f"> 0: {text!r}")
     return tuple(w / total for w in weights)
 
 

@@ -2,22 +2,23 @@
 
 The tree's operation cores yield before every shared-word access, so a
 scheduler that picks which generator to advance at each yield controls the
-interleaving completely. `explore` enumerates interleavings exhaustively:
-at every step within the step bound where two or more threads are runnable
-the scheduler branches over all of them; past the bound (or once only one
-thread remains) it drains deterministically, lowest index first. With no
-bound the enumeration is complete. A run continues down the first branch
-of every branch point it meets and leaves the other branches on a stack;
-each one is later replayed from a fresh setup, so `setup` runs exactly
-once per complete schedule and schedules replay bit-identically.
-`run_seeded` drives the same setup/check pair through pseudo-random
-schedules instead, for thread counts where enumeration is too wide.
+interleaving completely. One loop, `_drive`, steps every multi-thread run:
+while two or more threads are runnable it steps, through `step`, the
+thread that a pick policy names. Once the policy names none, or one thread
+is left, the rest run to completion in thread order, each in one tight
+loop, `_drain`, which ticks the clock before every step just as repeated
+`step` calls would. Three policies drive it:
 
-`step` takes one step and serves the branch points. Wherever no choice is
-left (past the bound, one thread left, `run`), a thread runs to completion
-in one tight loop, `_drain`, which ticks the clock before every step just
-as repeated `step` calls would: steps, clock stamps, schedules and picks
-are the same either way.
+- `explore` replays a schedule prefix, then, within the step bound,
+  branches over every runnable thread: it goes on with the lowest and
+  leaves the others on a stack, each replayed later from a fresh setup.
+  Past the bound it names none. So `setup` runs exactly once per complete
+  schedule and schedules replay bit-identically; with no bound the
+  enumeration is complete.
+- `run_seeded` draws one runnable thread per step from a seeded rng, for
+  thread counts where enumeration is too wide.
+- `run_round_robin` takes the first runnable thread after its last pick,
+  cyclically.
 
 A Clock counts scheduler steps; operation wrappers stamp their records with
 it, giving small-model histories integer timestamps the history checker can
@@ -27,6 +28,7 @@ consume directly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Callable, NamedTuple, Optional
 
 from .verify import INSERT, REMOVE, SEARCH, OpRecord
@@ -75,6 +77,26 @@ def _drain(thread: SimThread, clock: Optional[Clock] = None) -> int:
     return clock.t - t0
 
 
+def _drive(threads: list, clock: Optional[Clock], pick, picks: list,
+           drained: list) -> None:
+    """The run loop. pick(alive) names the next thread to step among the
+    runnable indices `alive` (in thread order), or None to stop choosing.
+    Each pick is appended to `picks`, and the thread of each drained step
+    to `drained`."""
+    alive = list(range(len(threads)))
+    while len(alive) > 1:
+        i = pick(alive)
+        if i is None:
+            break
+        picks.append(i)
+        th = threads[i]
+        step(th, clock)
+        if th.done:
+            alive.remove(i)
+    for i in alive:
+        drained.extend([i] * _drain(threads[i], clock))
+
+
 def run(gen):
     """Drive one generator to completion, no interleaving."""
     th = SimThread(gen)
@@ -83,16 +105,14 @@ def run(gen):
 
 
 def run_round_robin(gens, clock: Optional[Clock] = None):
-    """One step per runnable thread, cycling until all finish."""
+    """One step per runnable thread in turn, cycling until all finish."""
     threads = [SimThread(g) for g in gens]
-    alive = threads
-    while len(alive) > 1:
-        for th in alive:
-            step(th, clock)
-            if th.done:  # the round goes on over the list it started with
-                alive = [t for t in alive if not t.done]
-    for th in alive:  # the last one steps alone
-        _drain(th, clock)
+    picks = [-1]  # as if a thread before thread 0 had stepped last
+
+    def after_last(alive):
+        return alive[bisect_right(alive, picks[-1]) % len(alive)]
+
+    _drive(threads, clock, after_last, picks, [])
     return [th.result for th in threads]
 
 
@@ -114,8 +134,45 @@ class ExploreReport(NamedTuple):
     failures: list                 # (schedule, problems) per failing schedule
 
 
-def explore(setup, check=None, bound: Optional[int] = None,
-            max_schedules: Optional[int] = None) -> ExploreReport:
+def _checked_run(setup, check, pick, picks: list, drained: list,
+                 failures: list) -> None:
+    """Drive one schedule from a fresh setup under `pick`, then check it.
+    The schedule is `picks` as the drive leaves it."""
+    clock = Clock()
+    ctx, gens = setup(clock)
+    threads = [SimThread(g) for g in gens]
+    _drive(threads, clock, pick, picks, drained)
+    if check is not None:
+        schedule = tuple(picks)
+        try:
+            problems = check(ctx, threads, schedule)
+        except AssertionError as exc:
+            problems = [f"assertion: {exc}"]
+        if problems:
+            failures.append((schedule, list(problems)))
+
+
+def _branching(prefix: tuple, bound: Optional[int], stack: list,
+               picks: list):
+    """explore's pick policy for one run: replay `prefix`; then, within
+    the bound, push the schedules that take each other runnable thread and
+    go on with the lowest; past the bound, name none."""
+    replayed = len(prefix)
+
+    def pick(alive):
+        k = len(picks)
+        if k < replayed:
+            return prefix[k]
+        if bound is not None and k >= bound:
+            return None
+        schedule = tuple(picks)
+        for i in alive[:0:-1]:  # popped in thread order
+            stack.append(schedule + (i,))
+        return alive[0]
+    return pick
+
+
+def explore(setup, check=None, bound: Optional[int] = None) -> ExploreReport:
     """Exhaustively enumerate interleavings up to a step bound.
 
     setup(clock) -> (ctx, gens): build fresh state and the thread
@@ -128,14 +185,7 @@ def explore(setup, check=None, bound: Optional[int] = None,
     happens at steps with two or more runnable threads. bound=None
     enumerates every complete schedule. A schedule is the tuple of thread
     indices chosen at the branch points, which replays the run exactly.
-
-    The search is depth first, lowest thread index first. A run replays
-    its schedule prefix from a fresh setup; at each new branch point it
-    pushes the prefixes of the other runnable threads and goes on with the
-    lowest, so it finishes as a complete schedule. Once no branch point is
-    left (past the bound, or one thread left) the remaining threads run to
-    completion one after the other in thread order, each in one loop; the
-    steps and clock stamps are those of stepping them one at a time.
+    The search is depth first, lowest thread index first.
     """
     if bound is not None and bound < 0:
         raise ValueError(f"explore: bound must be >= 0, got {bound}")
@@ -143,43 +193,10 @@ def explore(setup, check=None, bound: Optional[int] = None,
     count = 0
     stack: list[tuple[int, ...]] = [()]
     while stack:
-        schedule = stack.pop()
-        clock = Clock()
-        ctx, gens = setup(clock)
-        threads = [SimThread(g) for g in gens]
-        alive = list(range(len(threads)))
-        replay = iter(schedule)
-        pending = next(replay, None)
-        steps = 0
-        while len(alive) > 1:
-            if pending is not None:
-                pick = pending
-                pending = next(replay, None)
-            elif bound is None or steps < bound:
-                for i in alive[:0:-1]:  # popped in thread order
-                    stack.append(schedule + (i,))
-                pick = alive[0]
-                schedule += (pick,)
-            else:
-                break  # past the bound
-            th = threads[pick]
-            step(th, clock)
-            steps += 1
-            if th.done:
-                alive.remove(pick)
-        for i in alive:  # no branch point left: lowest index first
-            _drain(threads[i], clock)
-
+        picks = []
+        pick = _branching(stack.pop(), bound, stack, picks)
+        _checked_run(setup, check, pick, picks, [], failures)
         count += 1
-        if max_schedules is not None and count > max_schedules:
-            raise RuntimeError(f"explore: more than {max_schedules} schedules")
-        if check is not None:
-            try:
-                problems = check(ctx, threads, schedule)
-            except AssertionError as exc:
-                problems = [f"assertion: {exc}"]
-            if problems:
-                failures.append((schedule, list(problems)))
     return ExploreReport(count, failures)
 
 
@@ -187,38 +204,20 @@ def run_seeded(setup, check=None, seed: int = 0,
                runs: int = 1000) -> ExploreReport:
     """Drive `runs` pseudo-random schedules from one seed.
 
-    Same setup/check contract as explore. The recorded schedule is the
-    full pick sequence, so a failure replays without the rng. The rng
-    draws one pick per step while two or more threads are runnable; the
-    last one runs to completion in one loop, its picks recorded all the
-    same.
+    Same setup/check contract as explore. The rng draws one pick per step
+    while two or more threads are runnable. The recorded schedule is every
+    pick, the last thread's drained steps included, so a failure replays
+    without the rng.
     """
     if runs < 1:
         raise ValueError(f"run_seeded: runs must be >= 1, got {runs}")
     rng = random.Random(seed)
     failures = []
     for _ in range(runs):
-        clock = Clock()
-        ctx, gens = setup(clock)
-        threads = [SimThread(g) for g in gens]
-        alive = list(range(len(threads)))
         picks = []
-        while len(alive) > 1:
-            pick = alive[rng.randrange(len(alive))]
-            picks.append(pick)
-            th = threads[pick]
-            step(th, clock)
-            if th.done:
-                alive.remove(pick)
-        for i in alive:
-            picks += [i] * _drain(threads[i], clock)
-        if check is not None:
-            try:
-                problems = check(ctx, threads, tuple(picks))
-            except AssertionError as exc:
-                problems = [f"assertion: {exc}"]
-            if problems:
-                failures.append((tuple(picks), list(problems)))
+        # rng.choice(alive) draws exactly as alive[rng.randrange(len(alive))];
+        # drained steps go into the schedule too
+        _checked_run(setup, check, rng.choice, picks, picks, failures)
     return ExploreReport(runs, failures)
 
 

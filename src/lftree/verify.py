@@ -405,6 +405,7 @@ def progress_audit(records: list[OpRecord], window: int,
 # --- trace files -------------------------------------------------------------
 
 _TRACE_COLUMNS = 7
+_INT_CHARS = "-0123456789"
 
 
 class TraceError(ValueError):
@@ -422,6 +423,7 @@ def write_trace(path, records: Iterable[OpRecord], comment: str = "") -> None:
 
 def read_trace(path) -> list[OpRecord]:
     records = []
+    new = tuple.__new__  # an OpRecord, minus its Python-level __new__
     try:
         with open(path, "r", encoding="ascii") as f:
             for lineno, line in enumerate(f, 1):
@@ -433,11 +435,20 @@ def read_trace(path) -> list[OpRecord]:
                     raise TraceError(
                         f"{path}:{lineno}: expected {_TRACE_COLUMNS} "
                         f"columns, got {len(parts)}")
+                tid, kind, e1, e2, t1, t2, result = parts
+                # int() also takes "+", "_" and blanks, which write_trace
+                # never writes: an integer field is -?[0-9]+ and nothing else
+                if not (tid.isdigit() and e1.isdigit() and e2.isdigit()
+                        and t1.isdigit() and t2.isdigit()
+                        and result.isdigit()):
+                    for field in (tid, e1, e2, t1, t2, result):
+                        if field.strip(_INT_CHARS):
+                            raise TraceError(f"{path}:{lineno}: not an "
+                                             f"integer: {field!r}")
                 try:
-                    records.append(OpRecord(
-                        int(parts[0]), parts[1], int(parts[2]),
-                        int(parts[3]), int(parts[4]), int(parts[5]),
-                        int(parts[6])))
+                    records.append(new(OpRecord, (
+                        int(tid), kind, int(e1), int(e2), int(t1), int(t2),
+                        int(result))))
                 except ValueError as exc:
                     raise TraceError(f"{path}:{lineno}: {exc}") from None
     except UnicodeDecodeError as exc:

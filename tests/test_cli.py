@@ -43,9 +43,13 @@ def test_check_flags_a_violating_trace(tmp_path, capsys):
     assert "search-result-never-present" in capsys.readouterr().out
 
 
-def test_check_flags_a_corrupted_trace(tmp_path, capsys):
+@pytest.mark.parametrize("row", [
+    "not a record",
+    "0\tINSERT\t1_0\t 10 \t+1\t2\t1",  # int() would take every field
+], ids=["columns", "integer-spelling"])
+def test_check_flags_a_corrupted_trace(tmp_path, capsys, row):
     trace = tmp_path / "corrupt.trace"
-    trace.write_text("0\tSEARCH\t1\t1\t0\t1\t0\nnot a record\n")
+    trace.write_text(f"0\tSEARCH\t1\t1\t0\t1\t0\n{row}\n")
     assert main(["check", "--trace", str(trace)]) == 1
     assert "malformed trace" in capsys.readouterr().err
 
@@ -75,7 +79,9 @@ def test_check_progress_window(tmp_path, capsys):
     STRESS_SMALL[:1] + ["--threads", "0"],
     ["stress", "--leaf-cap", "32", "--min-size", "20"],
     ["stress", "--mix", "1:2"],
+    ["stress", "--mix", "nan:1:1"],
     ["bench", "--duration", "0"],
+    ["bench", "--duration", "nan"],
     ["bench", "--threads", "0,2", "--duration", "0.1"],
     ["schedules", "help-storm", "--runs", "-3"],
     ["schedules", "help-storm", "--runs", "0"],
@@ -85,10 +91,10 @@ def test_check_progress_window(tmp_path, capsys):
     ["schedules", "help-storm", "--bound", "3", "--runs", "20"],
     ["schedules", "begin-race", "--runs", "5", "--seed", "1"],
     ["schedules", "begin-race", "--seed", "1"],
-], ids=["threads", "min-size", "mix", "duration", "thread-list",
-        "runs-negative", "runs-zero", "all-runs-zero", "bound-negative",
-        "all-bound-negative", "seeded-bound", "exhaustive-runs",
-        "exhaustive-seed"])
+], ids=["threads", "min-size", "mix", "mix-nan", "duration", "duration-nan",
+        "thread-list", "runs-negative", "runs-zero", "all-runs-zero",
+        "bound-negative", "all-bound-negative", "seeded-bound",
+        "exhaustive-runs", "exhaustive-seed"])
 def test_bad_configuration_exits_2(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -33,11 +33,16 @@ def small(**kw):
     dict(mix=(1.0, 0.5)),
     dict(mix=(-1.0, 1.0, 1.0)),
     dict(mix=(0.0, 0.0, 0.0)),
+    dict(mix=(float("nan"), 1.0, 1.0)),
+    dict(mix=(float("inf"), 1.0, 1.0)),
     dict(duration=-1.0),
+    dict(duration=float("nan")),
+    dict(duration=float("inf")),
     dict(min_size=5, leaf_capacity=8),   # sparsity above half the leaf
     dict(order=1),
 ], ids=["threads", "ops", "range", "mix-len", "mix-neg", "mix-zero",
-        "duration", "min-size", "order"])
+        "mix-nan", "mix-inf", "duration", "duration-nan", "duration-inf",
+        "min-size", "order"])
 def test_config_rejected_before_any_run(kw):
     with pytest.raises(ValueError):
         small(**kw)
@@ -48,7 +53,8 @@ def test_parse_mix_normalizes():
     assert parse_mix("1:1:0") == (0.5, 0.5, 0.0)
 
 
-@pytest.mark.parametrize("text", ["50:25", "a:b:c", "0:0:0", "-1:2:3"])
+@pytest.mark.parametrize("text", ["50:25", "a:b:c", "0:0:0", "-1:2:3",
+                                  "nan:1:1", "inf:1:1", "1:-inf:inf"])
 def test_parse_mix_rejects(text):
     with pytest.raises(ValueError):
         parse_mix(text)

@@ -175,11 +175,6 @@ def test_explore_is_deterministic():
     assert a == b
 
 
-def test_explore_schedule_cap():
-    with pytest.raises(RuntimeError, match="more than 5 schedules"):
-        sim.explore(two_thread_setup(2, 2), max_schedules=5)
-
-
 def test_explore_rejects_a_negative_bound():
     with pytest.raises(ValueError, match="bound must be >= 0"):
         sim.explore(two_thread_setup(1, 1), bound=-1)

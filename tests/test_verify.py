@@ -525,8 +525,29 @@ def test_trace_reader_reports_column_count_with_line(tmp_path):
         read_trace(path)
 
 
-def test_trace_reader_reports_bad_integer_with_line(tmp_path):
+@pytest.mark.parametrize("row", [
+    "zero\tSEARCH\t1\t1\t0\t1\t0",
+    "0\tINSERT\t1_0\t 10 \t+1\t2\t1",  # int() reads this as e1=10, t1=1
+    "0\tINSERT\t1_0\t10\t1\t2\t1",
+    "0\tINSERT\t10\t 10\t1\t2\t1",
+    "0\tINSERT\t10\t10\t+1\t2\t1",
+    "0\tINSERT\t10\t10\t1\t2\t1\x0c",
+    "0\tINSERT\t10\t10\t1\t2\t--1",
+    "0\tINSERT\t10\t10\t1\t2-\t1",
+    "-\tINSERT\t10\t10\t1\t2\t1",
+], ids=["word", "underscore-blank-plus", "underscore", "blank", "plus",
+        "form-feed", "two-signs", "trailing-sign", "bare-sign"])
+def test_trace_reader_reports_bad_integer_with_line(tmp_path, row):
     path = tmp_path / "ops.trace"
-    path.write_text("zero\tSEARCH\t1\t1\t0\t1\t0\n")
-    with pytest.raises(TraceError, match=r":1:"):
+    path.write_text("# a comment\n" + row + "\n")
+    with pytest.raises(TraceError, match=r":2:"):
         read_trace(path)
+
+
+def test_trace_reader_loads_negative_integers_for_the_checker(tmp_path):
+    path = tmp_path / "ops.trace"
+    path.write_text("0\tREMOVE\t1\t1\t0\t1\t-1\n"
+                    "-0\tSEARCH\t007\t7\t1\t2\t0\n")
+    records = read_trace(path)
+    assert records == [(0, REMOVE, 1, 1, 0, 1, -1), (0, SEARCH, 7, 7, 1, 2, 0)]
+    assert [v.rule for v in check_history(records)] == ["malformed-record"]
