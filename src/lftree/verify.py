@@ -437,7 +437,8 @@ def read_trace(path) -> list[OpRecord]:
                         f"columns, got {len(parts)}")
                 tid, kind, e1, e2, t1, t2, result = parts
                 # int() also takes "+", "_" and blanks, which write_trace
-                # never writes: an integer field is -?[0-9]+ and nothing else
+                # never writes: an integer field is -?[0-9]+. Another
+                # character is refused here, a misplaced "-" by int()
                 if not (tid.isdigit() and e1.isdigit() and e2.isdigit()
                         and t1.isdigit() and t2.isdigit()
                         and result.isdigit()):
