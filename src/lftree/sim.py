@@ -9,12 +9,9 @@ is left, the rest run to completion in thread order, each in one tight
 loop, `_drain`, which ticks the clock before every step just as repeated
 `step` calls would. Three policies drive it:
 
-- `explore` replays a schedule prefix, then, within the step bound,
-  branches over every runnable thread: it goes on with the lowest and
-  leaves the others on a stack, each replayed later from a fresh setup.
-  Past the bound it names none. So `setup` runs exactly once per complete
-  schedule and schedules replay bit-identically; with no bound the
-  enumeration is complete.
+- `explore` replays a schedule prefix; within the step bound it goes on
+  with the lowest runnable thread and stacks a schedule for each other
+  one, replayed later from a fresh setup; past the bound it names none.
 - `run_seeded` draws one runnable thread per step from a seeded rng, for
   thread counts where enumeration is too wide.
 - `run_round_robin` takes the first runnable thread after its last pick,

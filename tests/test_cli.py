@@ -45,7 +45,7 @@ def test_check_flags_a_violating_trace(tmp_path, capsys):
 
 def test_check_flags_a_corrupted_trace(tmp_path, capsys):
     trace = tmp_path / "corrupt.trace"
-    # the second row's fields all pass int(), which write_trace never needs
+    # int() takes every field of the second row; write_trace never writes it
     for row in ("not a record", "0\tINSERT\t1_0\t 10 \t+1\t2\t1"):
         trace.write_text(f"0\tSEARCH\t1\t1\t0\t1\t0\n{row}\n")
         assert main(["check", "--trace", str(trace)]) == 1
