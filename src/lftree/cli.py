@@ -121,13 +121,12 @@ def cmd_schedules(args) -> int:
         # a named scenario refuses the other kind's flags before any output
         report = scenarios.run_scenario(name, **kwargs)
         elapsed = time.perf_counter() - t0
-        expected = scenarios.EXPECTED_COUNTS.get(name)
         note = ""
-        if name in scenarios.SEEDED:
+        if scenarios.SCENARIOS[name].seeded:
             note = " (seeded)"
-        elif expected is not None and args.bound is None:
+        elif report.analytic is not None:
             # a drifted count is already among the scenario's failures
-            note = f" (analytic {expected})"
+            note = f" (analytic {report.analytic})"
         status = "ok" if report.ok else "FAILED"
         print(f"{name}: {report.schedules} schedules{note}, {status}, "
               f"{elapsed:.3f} s, "
@@ -222,11 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", nargs="?", default="all",
                    choices=sorted(scenarios.SCENARIOS) + ["all"])
     p.add_argument("--bound", type=int, default=None,
-                   help="steps to explore exhaustively (default: no bound)")
+                   help="steps to explore exhaustively (default: each "
+                        "scenario's own, none for a complete enumeration)")
     p.add_argument("--runs", type=int, default=None,
-                   help="schedules per seeded scenario (default 10000)")
+                   help="schedules per seeded scenario (default: each "
+                        "scenario's own)")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed for seeded scenarios (default 7)")
+                   help="seed for seeded scenarios (default: each "
+                        "scenario's own)")
     p.set_defaults(func=cmd_schedules)
 
     p = sub.add_parser("bench", help="throughput measurement")

@@ -103,16 +103,14 @@ def parse_mix(text: str) -> tuple:
     return tuple(w / total for w in weights)
 
 
-def make_ops(cfg: RunConfig, tid: int, count: int = None) -> list:
+def make_ops(cfg: RunConfig, tid: int) -> list:
     """Seeded per-thread workload of (kind, e1, e2) tuples."""
-    if count is None:
-        count = cfg.ops_per_thread
     rng = random.Random(cfg.seed * 7919 + tid * 104729 + 1)
     ws, wi, _ = (w / sum(cfg.mix) for w in cfg.mix)
     top = cfg.key_range
     span_max = max(1, top >> 8)
     ops = []
-    for _ in range(count):
+    for _ in range(cfg.ops_per_thread):
         r = rng.random()
         if r < ws:
             e1 = rng.randint(1, top)

@@ -142,6 +142,17 @@ def test_schedules_bound_limits_exploration(capsys):
     assert "freeze-race: 16 schedules, ok" in out
 
 
+def test_schedules_help_says_each_scenario_has_its_own_default(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "500")  # one line per option
+    with pytest.raises(SystemExit) as exc:
+        main(["schedules", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    # help-prep runs at bound 10 and stale-helper at 8 unless told otherwise
+    assert "no bound" not in out
+    assert out.count("(default: each scenario's own") == 3
+
+
 def test_bench_prints_one_row_per_thread_count(capsys):
     assert main(["bench", "--threads", "1", "--duration", "0.1",
                  "--ops", "500", "--order", "5", "--leaf-cap", "8",

@@ -67,13 +67,13 @@ def test_make_ops_is_deterministic_and_per_thread():
     cfg = small(threads=4)
     assert make_ops(cfg, 2) == make_ops(cfg, 2)
     assert make_ops(cfg, 0) != make_ops(cfg, 1)
-    assert len(make_ops(cfg, 0, count=17)) == 17
+    assert len(make_ops(small(ops_per_thread=17), 0)) == 17
 
 
 def test_make_ops_respects_bounds_and_mix():
     for mix, kind in [((1, 0, 0), SEARCH), ((0, 1, 0), INSERT),
                       ((0, 0, 1), REMOVE)]:
-        ops = make_ops(small(mix=mix), 0, count=500)
+        ops = make_ops(small(mix=mix, ops_per_thread=500), 0)
         assert {k for k, _, _ in ops} == {kind}
         for k, e1, e2 in ops:
             assert 1 <= e1 <= e2 <= 64

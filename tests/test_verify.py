@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lftree import verify
-from lftree.harness import RunConfig, run_stress
+from lftree import sim, verify
+from lftree.harness import RunConfig, make_ops, run_stress
+from lftree.nodes import TreeConfig
+from lftree.tree import LeafTree
 from lftree.verify import (
     INSERT,
     REMOVE,
@@ -480,17 +482,23 @@ def test_progress_audit_is_near_linear():
 
 def test_progress_audit_formats_only_the_kept_reports(monkeypatch):
     # at window 1 every op of a 2-thread run is slow and most gaps are
-    # silent, yet only the first `keep` findings become strings
-    result = run_stress(RunConfig(order=4, leaf_capacity=4, min_size=2,
-                                  threads=2, ops_per_thread=500,
-                                  key_range=256, seed=3), check=False)
-    want = reference.progress_audit_by_scan(result.records, 1)
-    assert len(want) > len(result.records) > 10
+    # silent, yet only the first `keep` findings become strings; round
+    # robin interleaves the threads on every step, where real threads may
+    # barely interleave and leave no silent gap
+    cfg = RunConfig(order=4, leaf_capacity=4, min_size=2, threads=2,
+                    ops_per_thread=500, key_range=256, seed=3)
+    tree = LeafTree(TreeConfig(4, 4, 2))
+    clock = sim.Clock()
+    records = []
+    sim.run_round_robin([sim.op_thread(tree, clock, tid, make_ops(cfg, tid),
+                                       records) for tid in range(2)], clock)
+    want = reference.progress_audit_by_scan(records, 1)
+    assert len(want) > len(records) > 10
     lines = []
     line = OpRecord.line
     monkeypatch.setattr(OpRecord, "line",
                         lambda r: lines.append(r) or line(r))
-    assert progress_audit(result.records, 1, keep=10) == (len(want), want[:10])
+    assert progress_audit(records, 1, keep=10) == (len(want), want[:10])
     assert len(lines) == 10
 
 
