@@ -31,6 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .keyspace import _exact_int
 from .nodes import TreeConfig
 from .tree import LeafTree
 from .verify import (INSERT, REMOVE, SEARCH, OpRecord, Violation,
@@ -68,6 +69,8 @@ class RunConfig:
 
     def __post_init__(self):
         TreeConfig(self.order, self.leaf_capacity, self.min_size)
+        for name in ("threads", "ops_per_thread", "key_range", "seed"):
+            _exact_int(name, getattr(self, name))
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1: {self.threads}")
         if self.ops_per_thread < 1:

@@ -47,7 +47,11 @@ def pack(key: int, value: int, value_bits: int) -> int:
 
 
 def unpack(word: int, value_bits: int) -> tuple[int, int]:
-    """Inverse of pack, ignoring the read-only flag."""
+    """Inverse of pack, ignoring the read-only flag. The word is exactly an
+    `int` in [0, 2**64)."""
+    _exact_int("word", word)
+    if not 0 <= word < 1 << 64:
+        raise ValueError(f"word out of range [0, 2**64): {word}")
     _check_bits(value_bits)
     p = word & PAYLOAD_MASK
     return p >> value_bits, p & ((1 << value_bits) - 1)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .keyspace import EMPTY
+from .keyspace import EMPTY, _exact_int
 
 IDLE = 0
 PREP = 1
@@ -38,6 +38,7 @@ STATUS_IDLE = (0, 0, 0, IDLE)
 @dataclass(frozen=True)
 class TreeConfig:
     """Structural parameters: K-ary internal nodes, D-slot leaves, sparsity S.
+    Each is exactly `int`, as keys are.
 
     order          max children per internal node (K), >= 3
     leaf_capacity  slots per leaf (D), >= 4
@@ -51,6 +52,8 @@ class TreeConfig:
     min_size: int = 8
 
     def __post_init__(self):
+        for name in ("order", "leaf_capacity", "min_size"):
+            _exact_int(name, getattr(self, name))
         if self.order < 3:
             raise ValueError(f"order must be >= 3: {self.order}")
         if self.leaf_capacity < 4:

@@ -12,7 +12,10 @@ function of the status tuple and the frozen content it finds:
   2. locate the unbalanced node by unbalanced_key inside the frozen parent,
      freeze it, pick and freeze a sibling if the action needs one,
   3. build a replacement parent from the frozen content (pure computation,
-     so every helper builds the same thing),
+     so every helper builds the same thing): every reshape is one splice
+     of the frozen parent's children, lo..hi replaced by fresh nodes (a
+     root grow replaces all of them by their two halves); only a root
+     shrink instead relinks the children of the parent's single child,
   4. advance the status PREP -> SWAP,
   5. CAS the grandparent's child link from the old parent to the
      replacement; object identity guarantees at most one such CAS ever
@@ -21,10 +24,12 @@ function of the status tuple and the frozen content it finds:
 
 Between a helper's status check and its freeze CAS the rebalance may
 complete; the guard re-reads the status immediately before every freeze CAS
-to narrow that window, and descent-side orphan repair (tree.py) makes the
-residual case harmless. A helper that observes step SWAP but finds the
-child link already pointing at an unfrozen node knows the swap happened and
-only attempts the clear.
+to narrow that window. In the residual case a frozen node stays linked
+after its rebalance is over. A descent that meets it (tree.py) triggers a
+rebalance at its grandparent (the root, for the root's child), which finds
+it pre-frozen and replaces it. A helper that observes step SWAP but finds
+the child link already pointing at an unfrozen node knows the swap
+happened and only attempts the clear.
 
 Plan records and the count of retired (unlinked) nodes are the duty of the
 link-swap winner, which is unique; status clearing may be done by anyone.
@@ -83,12 +88,6 @@ class RebalanceStats:
 # NamedTuples built without their Python-level __new__, as harness._run
 # builds an OpRecord
 _new_tuple = tuple.__new__
-
-
-class _Plan(NamedTuple):
-    new_parent: InternalNode
-    record: RebalanceRecord
-    retire: tuple        # nodes the swap unlinks
 
 
 def live_keys(words) -> list[int]:
@@ -222,6 +221,7 @@ def execute(tree, grand, st, helped: bool = False):
     plan = yield from _build_plan(tree, grand, live, parent, uk)
     if plan is None:
         return
+    new_parent, record, unlinked = plan
 
     yield
     cur = grand.status
@@ -236,13 +236,13 @@ def execute(tree, grand, st, helped: bool = False):
     yield
     if links[jp] is parent:
         yield
-        if cas(links, jp, parent, plan.new_parent):
+        if cas(links, jp, parent, new_parent):
             stats = tree.stats
             stats.lock.acquire()
             try:
                 stats.link_swaps += 1
-                stats.retired += len(plan.retire)
-                stats.records.append(plan.record)
+                stats.retired += unlinked
+                stats.records.append(record)
             finally:
                 stats.lock.release()
 
@@ -281,19 +281,24 @@ def _build_plan(tree, grand, live, parent, uk):
 
     Deterministic given the frozen content, so concurrent executors build
     content-identical plans and the single link-swap winner may install any
-    of them. Returns None if the rebalance completed while freezing."""
-    cfg = tree.config
-    K, D, S = cfg.order, cfg.leaf_capacity, cfg.min_size
-
+    of them. Returns (new parent, record, count of nodes the swap unlinks:
+    the parent and the frozen nodes it loses), or None if the rebalance
+    completed while freezing."""
     if grand is tree.root:
         n = len(parent.children)
-        if n > K:
-            return (yield from _plan_grow(tree, grand, live, parent))
+        if n > tree.config.order:
+            # grow: a fresh parent over the two halves of all its children
+            pvals = yield from _links(parent)
+            new, seps, sizes = _halve_internal(tree.config.order, pvals,
+                                               parent.separators)
+            top = _splice(parent, pvals, 0, n - 1, new, seps)
+            return top, _rec("root", GROW, (n,), sizes, top,
+                             _nodes_hold(new, pvals), False), 1
         if n == 1:
             yield
             only = parent.children[0]
             if isinstance(only, InternalNode):
-                return (yield from _plan_shrink(tree, grand, live, parent, only))
+                return (yield from _plan_shrink(tree, grand, live, only))
             # single leaf child: fall through, uk names the leaf
 
     pvals = yield from _links(parent)
@@ -306,65 +311,41 @@ def _build_plan(tree, grand, live, parent, uk):
     return (yield from _plan_internal(tree, grand, live, parent, pvals, ju))
 
 
+# A reshape is named by how many frozen nodes it reads (the unbalanced one,
+# or it and a sibling) and how many fresh ones it writes in their place.
+_ACTIONS = {(1, 2): SPLIT, (2, 1): MERGE, (2, 2): REDISTRIBUTE, (1, 1): REBUILD}
+
+
 def _plan_leaf(tree, grand, live, parent, pvals, ju):
     cfg = tree.config
     D, S = cfg.leaf_capacity, cfg.min_size
-    band_min = min(2 * S, D // 2)
-    unb = pvals[ju]
 
-    words = yield from freeze_leaf(tree, grand, live, unb)
+    words = yield from freeze_leaf(tree, grand, live, pvals[ju])
     if words is None:
         return None
     keys = live_keys(words)
     a = len(keys)
-
-    if a == D:
-        h = (a + 1) // 2
-        left, right = keys[:h], keys[h:]
-        new = [_leaf(D, left), _leaf(D, right)]
-        children = pvals[:ju] + new + pvals[ju + 1:]
-        seps = _insert_sep(parent.separators, ju, left[-1])
-        rec = _rec("leaf", SPLIT, (a,), (h, a - h), len(children) == 1,
-                   _leaves_hold(new, keys), True)
-        return _finish(parent, (unb,), children, seps, rec)
+    lo = hi = ju
+    inputs, clean = (a,), a == D  # only a split of a full leaf is clean
 
     if a <= S and len(pvals) >= 2:
         js = ju + 1 if ju + 1 < len(pvals) else ju - 1
-        sib = pvals[js]
-        swords = yield from freeze_leaf(tree, grand, live, sib)
+        swords = yield from freeze_leaf(tree, grand, live, pvals[js])
         if swords is None:
             return None
         skeys = live_keys(swords)
         b = len(skeys)
-        combined = sorted(keys + skeys)
-        t = a + b
+        keys = sorted(keys + skeys)
         lo, hi = min(ju, js), max(ju, js)
+        inputs = (a, b)
+        band_min = min(2 * S, D // 2)
         clean = b >= S and (a == S or (a == S - 1 and band_min == S))
-        if t <= D - 1:
-            new = [_leaf(D, combined)]
-            children = pvals[:lo] + new + pvals[hi + 1:]
-            seps = _remove_sep(parent.separators, lo)
-            rec = _rec("leaf", MERGE, (a, b), (t,), len(children) == 1,
-                       _leaves_hold(new, combined), clean)
-        else:
-            h = (t + 1) // 2
-            left, right = combined[:h], combined[h:]
-            new = [_leaf(D, left), _leaf(D, right)]
-            children = list(pvals)
-            children[lo], children[hi] = new
-            seps = _replace_sep(parent.separators, lo, left[-1])
-            rec = _rec("leaf", REDISTRIBUTE, (a, b), (h, t - h), False,
-                       _leaves_hold(new, combined), clean)
-        return _finish(parent, (unb, sib), children, seps, rec)
-
-    # raced trigger, dead-slot compaction, or sparse sole child: copy live
-    # keys into a fresh writable leaf
-    new = [_leaf(D, keys)]
-    children = list(pvals)
-    children[ju] = new[0]
-    rec = _rec("leaf", REBUILD, (a,), (a,), len(children) == 1,
-               _leaves_hold(new, keys), False)
-    return _finish(parent, (unb,), children, parent.separators, rec)
+    # else a full leaf splits; a raced trigger, dead-slot compaction or a
+    # sparse sole child rebuilds: live keys into a fresh writable leaf
+    new, seps, sizes = _halve_leaf(D, keys)
+    top = _splice(parent, pvals, lo, hi, new, seps)
+    return top, _rec("leaf", _ACTIONS[len(inputs), len(new)], inputs, sizes,
+                     top, _leaves_hold(new, keys), clean), 2 + hi - lo
 
 
 def _plan_internal(tree, grand, live, parent, pvals, ju):
@@ -375,90 +356,81 @@ def _plan_internal(tree, grand, live, parent, pvals, ju):
     ok = yield from freeze_internal(tree, grand, live, unb)
     if not ok:
         return None
-    uvals = yield from _links(unb)
-    c_n = len(uvals)
+    vals = yield from _links(unb)
+    seps = unb.separators
+    c_n = len(vals)
+    lo = hi = ju
+    inputs = (c_n,)
 
-    if c_n > K:
-        h = (c_n + 1) // 2
-        lnode = InternalNode(uvals[:h], unb.separators[:h - 1])
-        rnode = InternalNode(uvals[h:], unb.separators[h:])
-        children = pvals[:ju] + [lnode, rnode] + pvals[ju + 1:]
-        seps = _insert_sep(parent.separators, ju, unb.separators[h - 1])
-        rec = _rec("internal", SPLIT, (c_n,), (h, c_n - h),
-                   len(children) == 1, _nodes_hold([lnode, rnode], uvals), False)
-        return _finish(parent, (unb,), children, seps, rec)
-
-    if c_n < S and len(pvals) >= 2:
+    # an overfull node splits, even when it is also under S (K < S)
+    if c_n < S and c_n <= K and len(pvals) >= 2:
         js = ju + 1 if ju + 1 < len(pvals) else ju - 1
         sib = pvals[js]
         ok = yield from freeze_internal(tree, grand, live, sib)
         if not ok:
             return None
         svals = yield from _links(sib)
+        inputs = (c_n, len(svals))
         lo, hi = min(ju, js), max(ju, js)
-        lvals, rvals = (uvals, svals) if ju == lo else (svals, uvals)
-        lseps = unb.separators if ju == lo else sib.separators
-        rseps = sib.separators if ju == lo else unb.separators
         demoted = parent.separators[lo]
-        allvals = lvals + rvals
-        allseps = lseps + (demoted,) + rseps
-        t = len(allvals)
-        if t <= K:
-            merged = InternalNode(allvals, allseps)
-            children = pvals[:lo] + [merged] + pvals[hi + 1:]
-            seps = _remove_sep(parent.separators, lo)
-            rec = _rec("internal", MERGE, (c_n, len(svals)), (t,),
-                       len(children) == 1, _nodes_hold([merged], allvals), False)
+        if ju == lo:
+            vals, seps = vals + svals, seps + (demoted,) + sib.separators
         else:
-            h = (t + 1) // 2
-            lnode = InternalNode(allvals[:h], allseps[:h - 1])
-            rnode = InternalNode(allvals[h:], allseps[h:])
-            children = list(pvals)
-            children[lo], children[hi] = lnode, rnode
-            seps = _replace_sep(parent.separators, lo, allseps[h - 1])
-            rec = _rec("internal", REDISTRIBUTE, (c_n, len(svals)), (h, t - h),
-                       False, _nodes_hold([lnode, rnode], allvals), False)
-        return _finish(parent, (unb, sib), children, seps, rec)
+            vals, seps = svals + vals, sib.separators + (demoted,) + seps
 
-    rebuilt = InternalNode(uvals, unb.separators)
-    children = list(pvals)
-    children[ju] = rebuilt
-    rec = _rec("internal", REBUILD, (c_n,), (c_n,), len(children) == 1,
-               _nodes_hold([rebuilt], uvals), False)
-    return _finish(parent, (unb,), children, parent.separators, rec)
+    new, nseps, sizes = _halve_internal(K, vals, seps)
+    top = _splice(parent, pvals, lo, hi, new, nseps)
+    return top, _rec("internal", _ACTIONS[len(inputs), len(new)], inputs,
+                     sizes, top, _nodes_hold(new, vals), False), 2 + hi - lo
 
 
-def _plan_grow(tree, grand, live, parent):
-    """Root's child has too many children: push a level down."""
-    pvals = yield from _links(parent)
-    n = len(pvals)
-    h = (n + 1) // 2
-    lnode = InternalNode(pvals[:h], parent.separators[:h - 1])
-    rnode = InternalNode(pvals[h:], parent.separators[h:])
-    top = InternalNode([lnode, rnode], (parent.separators[h - 1],))
-    rec = _rec("root", GROW, (n,), (h, n - h), False,
-               _nodes_hold([lnode, rnode], pvals), False)
-    return _new_tuple(_Plan, (top, rec, (parent,)))
-
-
-def _plan_shrink(tree, grand, live, parent, only):
+def _plan_shrink(tree, grand, live, only):
     """Root's child has a single internal child: drop a level."""
     ok = yield from freeze_internal(tree, grand, live, only)
     if not ok:
         return None
     vals = yield from _links(only)
     dropped = InternalNode(vals, only.separators)
-    rec = _rec("root", SHRINK, (1, len(vals)), (len(vals),), False,
-               _nodes_hold([dropped], vals), False)
-    return _new_tuple(_Plan, (dropped, rec, (parent, only)))
+    # not a splice: final stays False even when `only` has a single child
+    rec = _new_tuple(RebalanceRecord, (
+        "root", SHRINK, (1, len(vals)), (len(vals),), False,
+        _nodes_hold([dropped], vals), False))
+    return dropped, rec, 2
 
 
 # --- small pure helpers -----------------------------------------------------
 
 
-def _leaf(capacity: int, keys) -> LeafNode:
-    # payloads of frozen words: valid keys, already in their word form
-    return LeafNode(capacity, keys)
+def _splice(parent, pvals, lo, hi, new, seps) -> InternalNode:
+    """The frozen parent with its children lo..hi replaced by `new`, split
+    by `seps`: every reshape builds its replacement parent this way."""
+    old = parent.separators
+    return InternalNode(pvals[:lo] + new + pvals[hi + 1:],
+                        old[:lo] + seps + old[hi:])
+
+
+def _halve_leaf(capacity: int, keys):
+    """([fresh leaves], separators between them, key counts): one leaf if
+    `keys` leave it a free slot, else two halves. The keys are payloads of
+    frozen words: valid keys, already in their word form."""
+    t = len(keys)
+    if t < capacity:
+        return [LeafNode(capacity, keys)], (), (t,)
+    h = (t + 1) // 2
+    left, right = keys[:h], keys[h:]
+    return ([LeafNode(capacity, left), LeafNode(capacity, right)],
+            (left[-1],), (h, t - h))
+
+
+def _halve_internal(order: int, vals, seps):
+    """([fresh internal nodes], separators between them, child counts): one
+    node if `vals` fit in `order` children, else two halves."""
+    t = len(vals)
+    if t <= order:
+        return [InternalNode(vals, seps)], (), (t,)
+    h = (t + 1) // 2
+    return ([InternalNode(vals[:h], seps[:h - 1]),
+             InternalNode(vals[h:], seps[h:])], (seps[h - 1],), (h, t - h))
 
 
 def _leaves_hold(leaves, expected_keys) -> bool:
@@ -479,22 +451,9 @@ def _nodes_hold(nodes, expected_vals) -> bool:
     return held == want
 
 
-def _insert_sep(seps: tuple, j: int, value: int) -> tuple:
-    return seps[:j] + (value,) + seps[j:]
-
-def _remove_sep(seps: tuple, j: int) -> tuple:
-    return seps[:j] + seps[j + 1:]
-
-def _replace_sep(seps: tuple, j: int, value: int) -> tuple:
-    return seps[:j] + (value,) + seps[j + 1:]
-
-
-def _rec(kind, action, inputs: tuple, outputs: tuple, final, preserved,
+def _rec(kind, action, inputs: tuple, outputs: tuple, top, preserved,
          clean) -> RebalanceRecord:
-    return _new_tuple(RebalanceRecord, (kind, action, inputs, outputs, final,
-                                        preserved, clean))
-
-
-def _finish(parent, frozen: tuple, children, seps, rec) -> _Plan:
-    new_parent = InternalNode(children, seps)
-    return _new_tuple(_Plan, (new_parent, rec, (parent,) + frozen))
+    """The record of a spliced plan; final iff `top` has a single child."""
+    return _new_tuple(RebalanceRecord, (kind, action, inputs, outputs,
+                                        len(top.children) == 1, preserved,
+                                        clean))

@@ -219,7 +219,7 @@ class LeafTree:
 def _search(tree, e1, e2):
     key = e1
     while True:
-        _, leaf, hi = yield from _descend(tree, key)
+        _, _, leaf, hi = yield from _descend(tree, key)
         found = yield from _find(leaf, e1, e2)
         if found:
             return found
@@ -231,7 +231,7 @@ def _search(tree, e1, e2):
 def _remove(tree, e1, e2):
     key = e1
     while True:
-        path, leaf, hi = yield from _descend(tree, key)
+        grand, parent, leaf, hi = yield from _descend(tree, key)
         while True:
             slot, word, live = yield from _scan(leaf, e1, e2)
             if slot < 0:
@@ -242,20 +242,20 @@ def _remove(tree, e1, e2):
             if word & RO_BIT:
                 # frozen candidate: finish the rebalance holding it,
                 # then retry the same spot on fresh nodes
-                yield from rb.trigger(tree, path[-2], word & PAYLOAD_MASK)
+                yield from rb.trigger(tree, grand, word & PAYLOAD_MASK)
                 break
             yield
             if cas(leaf.slots, slot, word, DEAD):
                 if (live - 1 <= tree.config.min_size
-                        and len(path[-1].children) >= 2):
-                    yield from rb.trigger(tree, path[-2], word)
+                        and len(parent.children) >= 2):
+                    yield from rb.trigger(tree, grand, word)
                 return word
             # slot changed under us: rescan
 
 
 def _insert(tree, word):
     while True:
-        path, leaf, _ = yield from _descend(tree, word)
+        grand, _, leaf, _ = yield from _descend(tree, word)
         while True:
             present, empty = yield from _probe(leaf, word)
             if present:
@@ -263,7 +263,7 @@ def _insert(tree, word):
             if empty < 0:
                 # no writable empty slot: full, clogged with dead
                 # slots, or frozen mid-rebalance
-                yield from rb.trigger(tree, path[-2], word)
+                yield from rb.trigger(tree, grand, word)
                 break
             yield
             if cas(leaf.slots, empty, EMPTY, word):
@@ -273,15 +273,15 @@ def _insert(tree, word):
 
 def _descend(tree, key):
     """Walk to the leaf covering `key`, helping pending rebalances,
-    repairing frozen nodes, and triggering shape fixes on the way.
+    replacing frozen nodes, and triggering shape fixes on the way.
 
-    Returns (path, leaf, hi): the internal nodes from the root down, the
-    leaf, and the upper bound of the key interval (lo, hi] it covers."""
+    Returns (grand, parent, leaf, hi): the leaf's grandparent and parent,
+    the leaf, and the upper bound of the key interval (lo, hi] it covers."""
     order, min_size = tree.config.order, tree.config.min_size
     root = tree.root
     while True:
         node = root
-        path = []
+        grand = parent = None  # node's grandparent and parent, if any
         hi = MAX_KEY
         restart = False
         while type(node) is InternalNode:  # no node class is subclassed
@@ -289,7 +289,11 @@ def _descend(tree, key):
             st = node.status
             if st[3] != IDLE:
                 if st[3] == FROZEN:
-                    yield from _repair(tree, path, key)
+                    # still linked after its rebalance completed between a
+                    # helper's guard check and freeze CAS: a rebalance over
+                    # it finds it pre-frozen and replaces it
+                    yield from rb.trigger(tree, root if grand is None
+                                          else grand, key)
                     restart = True
                     break
                 yield from rb.execute(tree, node, st, helped=True)
@@ -298,9 +302,9 @@ def _descend(tree, key):
             n = len(children)
             # below the root (whose shape never changes), a size outside
             # [S, K] may need a reshape
-            if path and not min_size <= n <= order:
-                if len(path) > 1:
-                    yield from rb.trigger(tree, path[-2], key)
+            if parent is not None and not min_size <= n <= order:
+                if grand is not None:
+                    yield from rb.trigger(tree, grand, key)
                     restart = True
                     break
                 # the root's only child owns the grow/shrink shapes
@@ -319,20 +323,11 @@ def _descend(tree, key):
             if j < n - 1:  # n children, n - 1 separators
                 hi = seps[j]
             yield
-            path.append(node)
+            grand, parent = parent, node
             node = children[j]
         if restart:
             continue
-        return path, node, hi
-
-
-def _repair(tree, path, key):
-    """A frozen node is still linked (its rebalance completed between a
-    helper's guard check and freeze CAS). Replace it by running a
-    rebalance over it; finding it pre-frozen just skips the freezing."""
-    assert path, "the root is never frozen"
-    grand = tree.root if len(path) == 1 else path[-2]
-    yield from rb.trigger(tree, grand, key)
+        return grand, parent, node, hi
 
 
 def _find(leaf, e1, e2):

@@ -2,6 +2,7 @@
 multi thread runs, duration cycling, and the bench loop."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -13,6 +14,8 @@ from lftree.harness import (
     run_bench,
     run_stress,
 )
+from lftree.nodes import TreeConfig
+from lftree.tree import LeafTree
 from lftree.verify import INSERT, REMOVE, SEARCH, SetOracle, write_trace
 
 
@@ -40,12 +43,35 @@ def small(**kw):
     dict(duration=float("inf")),
     dict(min_size=5, leaf_capacity=8),   # sparsity above half the leaf
     dict(order=1),
+    # shape, count, range and seed fields are exactly `int`
+    dict(threads=1.5),
+    dict(threads=True),
+    dict(ops_per_thread=100.0),
+    dict(key_range="64"),
+    dict(seed=5.0),
+    dict(order=5.0),
+    dict(leaf_capacity=8.5),
+    dict(min_size=True),
 ], ids=["threads", "ops", "range", "mix-len", "mix-neg", "mix-zero",
         "mix-nan", "mix-inf", "duration", "duration-nan", "duration-inf",
-        "min-size", "order"])
+        "min-size", "order", "threads-float", "threads-bool", "ops-float",
+        "range-str", "seed-float", "order-float", "leaf-float",
+        "min-size-bool"])
 def test_config_rejected_before_any_run(kw):
     with pytest.raises(ValueError):
         small(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(order=3.5),
+    dict(leaf_capacity=4.5, min_size=2),
+    dict(order="32"),
+    dict(min_size=True),
+], ids=["order-float", "leaf-float", "order-str", "min-size-bool"])
+def test_tree_config_fields_are_exactly_int(kw):
+    field = next(iter(kw))
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        TreeConfig(**kw)
 
 
 def test_parse_mix_normalizes():
@@ -133,6 +159,37 @@ def test_single_thread_write_path_is_pinned(cfg, digest):
     blob = repr(([tuple(r) for r in result.records],
                  [tuple(r) for r in result.stats["records"]],
                  result.snapshot)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# sha256 over (results, rebalance records, snapshot, retired) of inserting
+# a shuffled 1..3000 (seed 1) and then removing them all: unlike the write
+# paths above, the drain reaches root shrink and internal merge and
+# redistribute. Taken before every reshape became one splice.
+FILL_DRAIN_DIGESTS = [
+    (TreeConfig(3, 4, 2),
+     "4ea6c2285b9a0f5a2a85467263d394f927170738d0f224be665ebc18c539a5d7"),
+    (TreeConfig(4, 4, 2),
+     "7d7cfc2866db803caacdc3732385ffded2743166e8ff29c0497289c377fb8506"),
+    (TreeConfig(5, 8, 3),
+     "c6637ca0c1e783936c877c1bb4360ddc787edefdd4764470be038879361d7be6"),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", FILL_DRAIN_DIGESTS,
+                         ids=["k3", "k4", "k5"])
+def test_fill_then_drain_is_pinned(cfg, digest):
+    keys = list(range(1, 3001))
+    random.Random(1).shuffle(keys)
+    tree = LeafTree(cfg)
+    results = [tree.insert(k) for k in keys]
+    results += [tree.remove(k) for k in keys]
+    stats = tree.stats
+    assert {(r.kind, r.action) for r in stats.records} >= {
+        ("root", "shrink"), ("internal", "merge"),
+        ("internal", "redistribute")}
+    blob = repr((results, [tuple(r) for r in stats.records],
+                 tree.snapshot(), stats.retired)).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
 
 

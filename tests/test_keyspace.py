@@ -75,6 +75,24 @@ def test_unpack_rejects_non_int_value_bits():
             unpack(17, bits)
 
 
+@pytest.mark.parametrize("word, match", [
+    (-1, "out of range"),
+    (1 << 64, "out of range"),
+    (1 << 70, "out of range"),
+    (True, "must be an int"),
+    (1.5, "must be an int"),
+    ("17", "must be an int"),
+], ids=["negative", "2**64", "2**70", "bool", "float", "str"])
+def test_unpack_rejects_a_word_outside_64_bits(word, match):
+    with pytest.raises(ValueError, match=match):
+        unpack(word, 3)
+
+
+def test_unpack_takes_every_64_bit_word():
+    assert unpack(0, 3) == (0, 0)
+    assert unpack((1 << 64) - 1, 3) == (PAYLOAD_MASK >> 3, 7)
+
+
 @given(st.integers(min_value=MIN_KEY, max_value=MAX_KEY))
 def test_encode_payload_round_trip(key):
     assert encode(key) & PAYLOAD_MASK == key
