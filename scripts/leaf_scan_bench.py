@@ -10,12 +10,12 @@ to 256 around one of its keys. Then it times the yield-free copies of the
 tree's leaf scans over all pairs: `_scan` (what remove uses) and, where the
 checkout has them, `_find` (the search-only scan) and `_probe` (the
 insert-only probe, for the range's lower end). It also times
-`cells.cas` over every slot of those leaves and `cells.cas_status` over
-every internal node, each a successful CAS that writes back the value it
-found, so the tree does not change. The timed loops take turns pass by
-pass, so a drift in machine speed hits all alike. Prints, per core, the
-median and quartiles over the passes of nanoseconds per slot read, and per
-CAS function the same of nanoseconds per call, as one JSON line.
+`cells.cas` over every slot of those leaves, each a successful CAS that
+writes back the value it found, so the tree does not change; every shared
+word, status included, goes through that one CAS. The timed loops take
+turns pass by pass, so a drift in machine speed hits all alike. Prints,
+per core, the median and quartiles over the passes of nanoseconds per slot
+read, and for the CAS the same of nanoseconds per call, as one JSON line.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from lftree import LeafTree, TreeConfig  # noqa: E402
 from lftree import cells  # noqa: E402
 from lftree import tree as tree_mod  # noqa: E402
-from lftree.nodes import InternalNode  # noqa: E402
 
 KEY_RANGE = 1 << 16
 WIDTH = 256
@@ -58,7 +57,6 @@ def main(argv=None) -> int:
         e1 = rng.randint(max(1, lo - WIDTH), hi)
         pairs.append((leaf, e1, min(KEY_RANGE, e1 + rng.randint(0, WIDTH))))
     slots = sum(len(leaf.slots) for leaf, _, _ in pairs)
-    internals = list(_internal_nodes(tree.root))
 
     # name -> (function, argument tuples of one pass, unit count per pass)
     direct = tree_mod._direct
@@ -70,9 +68,6 @@ def main(argv=None) -> int:
     words = [(leaf.slots, i, w, w) for leaf, _, _ in pairs
              for i, w in enumerate(leaf.slots)]
     loops["cas"] = (cells.cas, words, len(words))
-    loops["cas_status"] = (cells.cas_status,
-                           [(n, n.status, n.status) for n in internals],
-                           len(internals))
     ns = {name: [] for name in loops}
     for _ in range(args.reps):
         for name, (fn, calls, units) in loops.items():
@@ -82,23 +77,15 @@ def main(argv=None) -> int:
             ns[name].append((time.perf_counter_ns() - t0) / units)
 
     out = {"python": platform.python_version(), "nproc": os.cpu_count(),
-           "leaf_capacity": 32, "leaves": len(pairs),
-           "internal_nodes": len(internals), "reps": args.reps,
+           "leaf_capacity": 32, "leaves": len(pairs), "reps": args.reps,
            "seed": args.seed, "ns_per_slot": {}, "ns_per_call": {}}
     for name, xs in ns.items():
         q1, med, q3 = statistics.quantiles(xs, n=4)
-        unit = "ns_per_call" if name.startswith("cas") else "ns_per_slot"
+        unit = "ns_per_call" if name == "cas" else "ns_per_slot"
         out[unit][name] = {"median": round(med, 2), "q1": round(q1, 2),
                            "q3": round(q3, 2)}
     print(json.dumps(out))
     return 0
-
-
-def _internal_nodes(node):
-    if type(node) is InternalNode:
-        yield node
-        for child in node.children:
-            yield from _internal_nodes(child)
 
 
 if __name__ == "__main__":

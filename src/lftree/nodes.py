@@ -3,11 +3,12 @@
 The tree is leaf-oriented: all keys live in leaves, internal nodes hold
 separators and child links only. A leaf owns a fixed-length list of D
 slot words (see keyspace). An internal node owns an immutable tuple of
-separators, a list of child links, and a status tuple that serializes
-rebalancing among its grandchildren. Slots, links and status are shared
-words: read them directly, write them only with cells.cas/cas_status.
+separators, a list of child links, and a one-entry status list whose
+tuple serializes rebalancing among its grandchildren. Slots, links and
+status are shared words, each an entry of a list: read them directly,
+write them only with cells.cas (status with index 0).
 
-Status field: a 4-tuple (parent_key, unbalanced_key, seq, step).
+Status word: a 4-tuple (parent_key, unbalanced_key, seq, step).
   step IDLE   - no rebalance pending; parent_key/unbalanced_key are 0.
   step PREP   - a rebalance is advertised: any thread may help by freezing
                 the named nodes and building the replacement.
@@ -40,11 +41,18 @@ class TreeConfig:
     """Structural parameters: K-ary internal nodes, D-slot leaves, sparsity S.
     Each is exactly `int`, as keys are.
 
-    order          max children per internal node (K), >= 3
+    order          max children per internal node (K), >= 3 and >= 2S - 1
     leaf_capacity  slots per leaf (D), >= 4
     min_size       sparsity threshold (S): a leaf at <= S live keys after a
                    remove, or an internal node under S children, gets
                    merged or redistributed; 2 <= S <= D/2
+
+    K >= 2S - 1, or internal reshapes never settle: a split of K + 1
+    children leaves a half of floor((K + 1) / 2) children, which is under
+    S exactly when K <= 2S - 2, and redistributing that half with its
+    sibling (together over K children) rebuilds the same halves, so a
+    descent triggers the same rebalance forever. At K >= 2S - 1 both
+    halves of a split or redistribute hold at least S children.
     """
 
     order: int = 32
@@ -62,6 +70,8 @@ class TreeConfig:
             raise ValueError(
                 f"min_size must be in [2, leaf_capacity/2]: {self.min_size}"
             )
+        if self.order < 2 * self.min_size - 1:
+            raise ValueError(f"order must be >= 2*min_size - 1: {self.order}")
 
 
 class LeafNode:
@@ -85,7 +95,7 @@ class InternalNode:
         assert len(separators) == len(children) - 1
         self.separators = tuple(separators)
         self.children = list(children)
-        self.status = STATUS_IDLE
+        self.status = [STATUS_IDLE]
 
     def __repr__(self):
         return f"<InternalNode seps={self.separators} n={len(self.children)}>"

@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 from typing import NamedTuple
 
-from .cells import cas, cas_status
+from .cells import cas
 from .keyspace import PAYLOAD_MASK, RO_BIT
 from .nodes import FROZEN, IDLE, PREP, SWAP, InternalNode, LeafNode, node_search
 
@@ -106,12 +106,12 @@ def live_keys(words) -> list[int]:
 def begin(tree, grand, parent_key: int, unbalanced_key: int):
     """Advertise a rebalance at `grand`. True iff this thread installed it."""
     yield
-    st = grand.status
+    st = grand.status[0]
     if st[3] != IDLE:
         return False
     new = (parent_key, unbalanced_key, st[2], PREP)
     yield
-    if cas_status(grand, st, new):
+    if cas(grand.status, 0, st, new):
         stats = tree.stats
         stats.lock.acquire()
         try:
@@ -127,7 +127,7 @@ def trigger(tree, grand, key: int):
     the status was idle, else the pending one. Returns True iff we began."""
     won = yield from begin(tree, grand, key, key)
     yield
-    st = grand.status
+    st = grand.status[0]
     if st[3] in (PREP, SWAP):
         yield from execute(tree, grand, st, helped=not won)
     return won
@@ -136,7 +136,7 @@ def trigger(tree, grand, key: int):
 def help_pending(tree, node) -> bool:
     """Drive any rebalance advertised at `node` to completion."""
     yield
-    st = node.status
+    st = node.status[0]
     if st[3] in (PREP, SWAP):
         yield from execute(tree, node, st, helped=True)
         return True
@@ -150,18 +150,18 @@ def freeze_internal(tree, grand, live, node):
     rebalance named by `live` is over, caller must abandon."""
     while True:
         yield
-        st = node.status
+        st = node.status[0]
         if st[3] == FROZEN:
             return True
         if st[3] in (PREP, SWAP):
             yield from execute(tree, node, st, helped=True)
             continue
         yield
-        cur = grand.status
+        cur = grand.status[0]
         if cur not in live:
             return False
         yield
-        cas_status(node, st, (0, 0, st[2], FROZEN))
+        cas(node.status, 0, st, (0, 0, st[2], FROZEN))
 
 
 def freeze_leaf(tree, grand, live, leaf):
@@ -178,7 +178,7 @@ def freeze_leaf(tree, grand, live, leaf):
                 words.append(w)
                 break
             yield
-            cur = grand.status
+            cur = grand.status[0]
             if cur not in live:
                 return None
             yield
@@ -202,14 +202,14 @@ def execute(tree, grand, st, helped: bool = False):
     assert isinstance(parent, InternalNode), "parent level holds internals only"
 
     yield
-    cur = grand.status
+    cur = grand.status[0]
     if cur not in live:
         return
     if cur[3] == SWAP:
         # an unfrozen child at step SWAP means the link swap already
         # happened; the only duty left is the clear
         yield
-        pst = parent.status
+        pst = parent.status[0]
         if pst[3] != FROZEN:
             yield from _clear(tree, grand, live[1], helped)
             return
@@ -224,12 +224,12 @@ def execute(tree, grand, st, helped: bool = False):
     new_parent, record, unlinked = plan
 
     yield
-    cur = grand.status
+    cur = grand.status[0]
     if cur == live[0]:
         yield
-        cas_status(grand, cur, live[1])
+        cas(grand.status, 0, cur, live[1])
         yield
-        cur = grand.status
+        cur = grand.status[0]
     if cur != live[1]:
         return
 
@@ -252,7 +252,7 @@ def execute(tree, grand, st, helped: bool = False):
 def _clear(tree, grand, swap_status, helped):
     pk, uk, seq, _ = swap_status
     yield
-    if cas_status(grand, swap_status, (0, 0, seq + 1, IDLE)):
+    if cas(grand.status, 0, swap_status, (0, 0, seq + 1, IDLE)):
         stats = tree.stats
         stats.lock.acquire()
         try:

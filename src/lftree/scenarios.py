@@ -81,8 +81,8 @@ def _expect(problems: list, cond: bool, msg: str) -> None:
 
 
 def _settled(tree, problems, swaps: int, seq: int, keys: list) -> None:
-    _expect(problems, tree.root.status == (0, 0, seq, IDLE),
-            f"root status {tree.root.status}, wanted seq {seq} idle")
+    _expect(problems, tree.root.status[0] == (0, 0, seq, IDLE),
+            f"root status {tree.root.status[0]}, wanted seq {seq} idle")
     _expect(problems, tree.stats.link_swaps == swaps,
             f"{tree.stats.link_swaps} link swaps, wanted {swaps}")
     got = tree.snapshot()
@@ -105,8 +105,8 @@ def _begin_race_check(tree, threads, schedule):
     wins = [th.result for th in threads]
     _expect(problems, sorted(wins) == [False, True],
             f"begin results {wins}, wanted exactly one winner")
-    _expect(problems, tree.root.status == (45, 45, 0, PREP),
-            f"status {tree.root.status} after begin")
+    _expect(problems, tree.root.status[0] == (45, 45, 0, PREP),
+            f"status {tree.root.status[0]} after begin")
     # drive the advertised rebalance to completion deterministically
     sim.run(rb.execute(tree, tree.root, (45, 45, 0, PREP)))
     _settled(tree, problems, swaps=1, seq=1, keys=[10, 20, 30, 40])
@@ -125,7 +125,7 @@ def _begin_race_check(tree, threads, schedule):
 def _watch(tree, out, loads: int = 4):
     for _ in range(loads):
         yield
-        out.append(tree.root.status[3])
+        out.append(tree.root.status[0][3])
 
 
 def _read_race_setup(clock):
@@ -150,7 +150,7 @@ def _pending_split(phase: int, helpers: int, clock):
     root status reaches `phase`, plus `helpers` help_pending threads."""
     tree = _full_leaf_tree()
     owner = sim.SimThread(rb.trigger(tree, tree.root, 45))
-    sim.run_until(owner, lambda: tree.root.status[3] == phase)
+    sim.run_until(owner, lambda: tree.root.status[0][3] == phase)
     assert not owner.done
     return tree, [owner.gen] + [rb.help_pending(tree, tree.root)
                                 for _ in range(helpers)]
@@ -249,8 +249,8 @@ def _stale_grandparent_check(ctx, threads, schedule):
     _expect(problems, threads[1].result is True, "insert 61 failed")
     _settled(tree, problems, swaps=3, seq=6,
              keys=[10, 20, 30, 33, 35, 38, 40, 50, 55, 58, 59, 60, 61, 70])
-    _expect(problems, old_top.status[3] == FROZEN,
-            f"old top status {old_top.status}")
+    _expect(problems, old_top.status[0][3] == FROZEN,
+            f"old top status {old_top.status[0]}")
     _expect(problems, tree.root.children[0] is not old_top,
             "old top still linked")
     actions = sorted(r.action for r in tree.stats.records)
@@ -268,7 +268,7 @@ def _stale_grandparent_check(ctx, threads, schedule):
 def _freeze_race_setup(clock):
     tree = LeafTree(_SMALL)
     leaf = LeafNode(4, [10, 20, DEAD, DEAD])
-    tree.root.status = (1, 1, 0, PREP)
+    tree.root.status[0] = (1, 1, 0, PREP)
     live = ((1, 1, 0, PREP), (1, 1, 0, SWAP))
     return leaf, [rb.freeze_leaf(tree, tree.root, live, leaf),
                   rb.freeze_leaf(tree, tree.root, live, leaf)]

@@ -169,7 +169,7 @@ class LeafTree:
                         bad.append(f"key {p} in two leaves")
                     owner[p] = node
                 continue
-            st = node.status
+            st = node.status[0]
             if st[3] != IDLE:
                 bad.append(f"non-idle status at quiesce: {st}")
             seps = node.separators
@@ -286,7 +286,7 @@ def _descend(tree, key):
         restart = False
         while type(node) is InternalNode:  # no node class is subclassed
             yield
-            st = node.status
+            st = node.status[0]
             if st[3] != IDLE:
                 if st[3] == FROZEN:
                     # still linked after its rebalance completed between a

@@ -261,54 +261,38 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
 
     for r in sane:
         _, kind, e1, e2, a, b, res = r
-        if kind == SEARCH:
-            if res == 0:
-                hit = idx.certain_in_range(e1, e2, a, b)
-                if hit:
-                    out.append(Violation(
-                        "failed-search-certain-match", r,
-                        f"{hit} was present throughout the call"))
-            else:
-                if not e1 <= res <= e2:
-                    out.append(Violation(
-                        "result-outside-range", r, f"returned {res}"))
-                elif not idx.possibly_present(res, a, b):
-                    out.append(Violation(
-                        "search-result-never-present", r,
-                        f"{res} could not have been in the tree"))
-        elif kind == REMOVE:
-            if res == 0:
-                hit = idx.certain_in_range(e1, e2, a, b)
-                if hit:
-                    out.append(Violation(
-                        "failed-remove-certain-match", r,
-                        f"{hit} was present throughout the call"))
-            else:
-                if not e1 <= res <= e2:
-                    out.append(Violation(
-                        "result-outside-range", r, f"returned {res}"))
-                    continue
-                if not idx.possibly_present(res, a, b):
-                    out.append(Violation(
-                        "remove-result-never-present", r,
-                        f"{res} could not have been in the tree"))
-                if res > e1:
-                    hit = idx.certain_in_range(e1, res - 1, a, b)
-                    if hit:
-                        out.append(Violation(
-                            "remove-not-minimal", r,
-                            f"{hit} < {res} was present throughout"))
-        else:  # INSERT
+        if kind == INSERT:
             if res == 1:
                 if idx.certainly_present(e1, a, b):
                     out.append(Violation(
                         "insert-over-certain-present", r,
                         f"{e1} was present throughout the call"))
-            else:
-                if not idx.possibly_present(e1, a, b):
+            elif not idx.possibly_present(e1, a, b):
+                out.append(Violation(
+                    "failed-insert-never-present", r,
+                    f"{e1} was never there to collide with"))
+            continue
+        # a search and a remove share their rules; a remove must also find
+        # no key below its result that was present throughout the call
+        if res == 0:
+            hit = idx.certain_in_range(e1, e2, a, b)
+            if hit:
+                out.append(Violation(
+                    f"failed-{kind.lower()}-certain-match", r,
+                    f"{hit} was present throughout the call"))
+        elif not e1 <= res <= e2:
+            out.append(Violation("result-outside-range", r, f"returned {res}"))
+        else:
+            if not idx.possibly_present(res, a, b):
+                out.append(Violation(
+                    f"{kind.lower()}-result-never-present", r,
+                    f"{res} could not have been in the tree"))
+            if kind == REMOVE and res > e1:
+                hit = idx.certain_in_range(e1, res - 1, a, b)
+                if hit:
                     out.append(Violation(
-                        "failed-insert-never-present", r,
-                        f"{e1} was never there to collide with"))
+                        "remove-not-minimal", r,
+                        f"{hit} < {res} was present throughout"))
 
     # removal lifetimes must pair off with distinct insert lifetimes
     rem = idx.rem

@@ -416,7 +416,7 @@ def check_structure_by_walk(tree) -> list:
                     bad.append(f"key {p} in two leaves")
                 seen_keys.add(p)
             return
-        st = node.status
+        st = node.status[0]
         if st[3] != IDLE:
             bad.append(f"non-idle status at quiesce: {st}")
         seps = node.separators

@@ -225,7 +225,7 @@ def test_criterion_7_progress_with_suspended_thread():
     owner = sim.SimThread(tree.insert_gen(25))
     sim.run_until(owner, lambda: all(w & RO_BIT for w in leaf.slots),
                   clock)
-    if owner.done or tree.root.status[3] != PREP:
+    if owner.done or tree.root.status[0][3] != PREP:
         problems.append("owner was not parked on an advertised rebalance")
 
     rng = random.Random(99)

@@ -1,7 +1,7 @@
 import pytest
 
 from lftree import cells
-from lftree.cells import Cell, cas, cas_status
+from lftree.cells import Cell, cas
 from lftree.nodes import InternalNode, LeafNode, TreeConfig
 from lftree.tree import LeafTree
 
@@ -13,6 +13,7 @@ def test_load_and_cas():
     assert c.load() == 9
     assert not c.cas(5, 11)  # stale expectation
     assert c.load() == 9
+    assert c == [9] and repr(c) == "Cell(9)"  # a one-entry word list
 
 
 def test_cas_compares_identity_or_equality():
@@ -46,15 +47,6 @@ def test_cas_on_list_words():
     assert links == ["done"]
 
 
-def test_cas_status_compares_by_equality():
-    node = InternalNode([LeafNode(4)])
-    node.status = (1, 2, 0, 1)
-    assert cas_status(node, (1, 2, 0, 1), (0, 0, 1, 0))  # equal, fresh tuple
-    assert node.status == (0, 0, 1, 0)
-    assert not cas_status(node, (1, 2, 0, 1), (0, 0, 2, 0))
-    assert node.status == (0, 0, 1, 0)
-
-
 class _Raises:
     """A slot value whose comparison fails."""
 
@@ -80,17 +72,18 @@ def test_cas_leaves_its_stripe_unlocked():
     assert not _stripe_of(words, 0).locked()
 
 
-def test_cas_status_leaves_its_stripe_unlocked():
+def test_cas_on_a_status_word():
     node = InternalNode([LeafNode(4)])
-    stripe = cells._LOCKS[(id(node) >> 4) & cells._MASK]
-    assert cas_status(node, node.status, (0, 0, 1, 0))
-    assert not stripe.locked()
-    assert not cas_status(node, (0, 0, 0, 0), (0, 0, 2, 0))
-    assert not stripe.locked()
-    node.status = _Raises()
+    node.status[0] = (1, 2, 0, 1)
+    assert cas(node.status, 0, (1, 2, 0, 1), (0, 0, 1, 0))  # equal, fresh tuple
+    assert node.status == [(0, 0, 1, 0)]
+    assert not cas(node.status, 0, (1, 2, 0, 1), (0, 0, 2, 0))
+    assert node.status == [(0, 0, 1, 0)]
+    assert not _stripe_of(node.status).locked()
+    node.status[0] = _Raises()
     with pytest.raises(RuntimeError):
-        cas_status(node, (0, 0, 1, 0), (0, 0, 2, 0))
-    assert not stripe.locked()
+        cas(node.status, 0, (0, 0, 1, 0), (0, 0, 2, 0))
+    assert not _stripe_of(node.status).locked()
 
 
 class _Refuses(list):

@@ -76,6 +76,7 @@ def test_check_progress_window(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     STRESS_SMALL[:1] + ["--threads", "0"],
     ["stress", "--leaf-cap", "32", "--min-size", "20"],
+    ["stress", "--order", "3", "--min-size", "8"],
     ["stress", "--mix", "1:2"],
     ["stress", "--mix", "nan:1:1"],
     ["bench", "--duration", "0"],
@@ -89,7 +90,7 @@ def test_check_progress_window(tmp_path, capsys):
     ["schedules", "help-storm", "--bound", "3", "--runs", "20"],
     ["schedules", "begin-race", "--runs", "5", "--seed", "1"],
     ["schedules", "begin-race", "--seed", "1"],
-], ids=["threads", "min-size", "mix", "mix-nan", "duration", "duration-nan",
+], ids=["threads", "min-size", "order-below-2s-1", "mix", "mix-nan", "duration", "duration-nan",
         "thread-list", "runs-negative", "runs-zero", "all-runs-zero",
         "bound-negative", "all-bound-negative", "seeded-bound",
         "exhaustive-runs", "exhaustive-seed"])

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lftree import harness
+from lftree import harness, sim
 from lftree.harness import (
     RunConfig,
     make_ops,
@@ -52,11 +52,12 @@ def small(**kw):
     dict(order=5.0),
     dict(leaf_capacity=8.5),
     dict(min_size=True),
+    dict(order=4, min_size=3),           # K < 2S - 1: reshapes never settle
 ], ids=["threads", "ops", "range", "mix-len", "mix-neg", "mix-zero",
         "mix-nan", "mix-inf", "duration", "duration-nan", "duration-inf",
         "min-size", "order", "threads-float", "threads-bool", "ops-float",
         "range-str", "seed-float", "order-float", "leaf-float",
-        "min-size-bool"])
+        "min-size-bool", "order-below-2s-1"])
 def test_config_rejected_before_any_run(kw):
     with pytest.raises(ValueError):
         small(**kw)
@@ -191,6 +192,25 @@ def test_fill_then_drain_is_pinned(cfg, digest):
     blob = repr((results, [tuple(r) for r in stats.records],
                  tree.snapshot(), stats.retired)).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cfg", [TreeConfig(5, 6, 3), TreeConfig(7, 8, 4)],
+                         ids=["k5-d6-s3", "k7-d8-s4"])
+def test_fill_then_drain_settles_at_the_order_bound(cfg):
+    # K = 2S - 1, the smallest order taken for S. Each op runs under a step
+    # limit, so reshapes that never settle fail here instead of hanging.
+    n = 60 * cfg.leaf_capacity
+    shuffled = list(range(1, n + 1))
+    random.Random(1).shuffle(shuffled)
+    for keys in (range(1, n + 1), range(n, 0, -1), shuffled):
+        tree = LeafTree(cfg)
+        for op, want in ((tree.insert_gen, True), (tree.remove_gen, None)):
+            for k in keys:
+                th = sim.SimThread(op(k))
+                sim.run_until(th, lambda: False, limit=20_000)
+                assert th.result == (k if want is None else want)
+        assert tree.snapshot() == []
+        assert tree.check_structure() == []
 
 
 def test_threaded_run_checks_clean():

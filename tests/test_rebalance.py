@@ -10,7 +10,7 @@ from reference import (band, build_flat, leaf_key_sets, merge_or_redistribute,
                        split_keys, split_sizes)
 
 CONFIGS = [TreeConfig(3, 4, 2), TreeConfig(5, 8, 3), TreeConfig(4, 6, 2),
-           TreeConfig(3, 8, 4)]
+           TreeConfig(7, 8, 4)]
 
 
 def _trigger(tree, key):
@@ -126,18 +126,21 @@ def test_grow_when_roots_child_overflows():
     assert tree.check_structure() == []
 
 
-def test_shrink_when_roots_child_has_one_internal_child():
+@pytest.mark.parametrize("leaves", [[[10, 20], [30, 40]], [[10, 20]]],
+                         ids=["two-leaves", "one-leaf"])
+def test_shrink_when_roots_child_has_one_internal_child(leaves):
     cfg = TreeConfig(3, 4, 2)
-    tree = build_flat(cfg, [[10, 20], [30, 40]])
+    tree = build_flat(cfg, leaves)
     inner = tree.root.children[0]
     tree.root.children[0] = InternalNode([inner])
     before = tree.height()
     rec = _trigger(tree, 10)
     assert rec.kind == "root" and rec.action == rb.SHRINK
-    assert rec.outputs == (2,)
+    assert rec.outputs == (len(leaves),)
+    assert rec.final is False  # not a splice: False even onto one child
     assert rec.preserved
     assert tree.height() == before - 1
-    assert leaf_key_sets(tree) == [[10, 20], [30, 40]]
+    assert leaf_key_sets(tree) == leaves
     assert tree.check_structure() == []
 
 
@@ -178,7 +181,7 @@ def test_freeze_leaf_is_idempotent():
     cfg = TreeConfig(3, 4, 2)
     tree = LeafTree(cfg)
     leaf = LeafNode(4, [encode(10), encode(20)])
-    tree.root.status = (1, 1, 0, PREP)
+    tree.root.status[0] = (1, 1, 0, PREP)
     live = ((1, 1, 0, PREP), (1, 1, 0, SWAP))
     first = sim.run(rb.freeze_leaf(tree, tree.root, live, leaf))
     second = sim.run(rb.freeze_leaf(tree, tree.root, live, leaf))
@@ -192,7 +195,7 @@ def test_freeze_abandons_on_stale_status():
     cfg = TreeConfig(3, 4, 2)
     tree = LeafTree(cfg)
     leaf = LeafNode(4, [encode(10)])
-    tree.root.status = (0, 0, 7, IDLE)  # already cleared
+    tree.root.status[0] = (0, 0, 7, IDLE)  # already cleared
     live = ((1, 1, 0, PREP), (1, 1, 0, SWAP))
     got = sim.run(rb.freeze_leaf(tree, tree.root, live, leaf))
     assert got is None
@@ -207,4 +210,4 @@ def test_stats_counters_track_one_rebalance():
     assert snap["begins"] == 1
     assert snap["link_swaps"] == 1
     assert snap["clears"] == 1
-    assert tree.root.status == (0, 0, 1, IDLE)
+    assert tree.root.status[0] == (0, 0, 1, IDLE)

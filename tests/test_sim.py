@@ -488,7 +488,7 @@ def test_round_robin_on_tree_operations_is_pinned():
     leaf = next(iter(tree.leaves()))[0]
     owner = sim.SimThread(tree.insert_gen(25))
     sim.run_until(owner, lambda: all(w & RO_BIT for w in leaf.slots), clock)
-    assert not owner.done and tree.root.status[3] == PREP
+    assert not owner.done and tree.root.status[0][3] == PREP
     rng = random.Random(99)
     survivors = [sim.op_thread(tree, clock, tid, _survivor_workload(rng, 600),
                                records) for tid in (1, 2)]

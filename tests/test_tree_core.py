@@ -27,6 +27,12 @@ def test_config_validation():
         TreeConfig(3, 8, 1)
     with pytest.raises(ValueError):
         TreeConfig(3, 8, 5)  # S > D/2
+    TreeConfig(5, 6, 3)  # K = 2S - 1
+    TreeConfig(7, 8, 4)
+    # K < 2S - 1: a split leaves a half under S, and reshapes never settle
+    for shape in ((3, 32, 8), (6, 8, 4), (4, 6, 3), (3, 8, 4), (6, 12, 4)):
+        with pytest.raises(ValueError, match="^order"):
+            TreeConfig(*shape)
 
 
 def test_node_search_ties_go_left():
@@ -129,7 +135,7 @@ def test_check_structure_flags_frozen_slot_and_status():
     tree = build_flat(TreeConfig(3, 4, 2), [[1, 2], [5, 7]])
     inner = tree.root.children[0]
     inner.children[0].slots[0] = encode(1) | RO_BIT
-    inner.status = (1, 1, 0, FROZEN)
+    inner.status[0] = (1, 1, 0, FROZEN)
     bad = tree.check_structure()
     assert any("frozen key" in b for b in bad)
     assert any("non-idle status" in b for b in bad)
@@ -252,7 +258,7 @@ def _frozen_key(tree, rng):
 
 def _busy_status(tree, rng):
     node = rng.choice(_internal_nodes(tree))
-    node.status = (1, 1, 0, rng.choice((PREP, SWAP, FROZEN)))
+    node.status[0] = (1, 1, 0, rng.choice((PREP, SWAP, FROZEN)))
     return True
 
 
