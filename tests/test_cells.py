@@ -72,18 +72,26 @@ def test_cas_leaves_its_stripe_unlocked():
     assert not _stripe_of(words, 0).locked()
 
 
-def test_cas_on_a_status_word():
+def test_cas_status_compares_by_equality():
     node = InternalNode([LeafNode(4)])
     node.status[0] = (1, 2, 0, 1)
     assert cas(node.status, 0, (1, 2, 0, 1), (0, 0, 1, 0))  # equal, fresh tuple
     assert node.status == [(0, 0, 1, 0)]
     assert not cas(node.status, 0, (1, 2, 0, 1), (0, 0, 2, 0))
     assert node.status == [(0, 0, 1, 0)]
-    assert not _stripe_of(node.status).locked()
+
+
+def test_cas_status_leaves_its_stripe_unlocked():
+    node = InternalNode([LeafNode(4)])
+    stripe = _stripe_of(node.status)
+    assert cas(node.status, 0, node.status[0], (0, 0, 1, 0))
+    assert not stripe.locked()
+    assert not cas(node.status, 0, (0, 0, 0, 0), (0, 0, 2, 0))
+    assert not stripe.locked()
     node.status[0] = _Raises()
     with pytest.raises(RuntimeError):
         cas(node.status, 0, (0, 0, 1, 0), (0, 0, 2, 0))
-    assert not _stripe_of(node.status).locked()
+    assert not stripe.locked()
 
 
 class _Refuses(list):
