@@ -9,12 +9,13 @@ operations and record appends; with a duration set, each thread cycles
 its workload until the deadline. Stress and bench run the same loop
 (`_run`); bench only counts operations instead of recording them.
 
-Single-thread runs use a logical clock starting at zero, so the same seed
-produces byte-identical traces. Multi-thread runs use the monotonic clock
-with a per-thread strictly-increasing fixup; the checker never compares
-timestamps across threads beyond interval overlap, which monotonic_ns
-supports. The interpreter switch interval is dropped to 10 microseconds
-during multi-thread runs to force heavy preemption.
+Thread 0 runs on the calling thread and threads 1..n-1 beside it; a
+thread that raises fails the run once every thread has joined. A lone
+thread uses a logical clock starting at zero, so the same seed produces
+byte-identical traces. Several use the monotonic clock with a per-thread
+strictly-increasing fixup (the checker never compares timestamps across
+threads beyond interval overlap, which monotonic_ns supports) and a
+10 microsecond switch interval, to force heavy preemption.
 """
 
 from __future__ import annotations
@@ -27,32 +28,16 @@ import resource
 import sys
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .keyspace import _exact_int
+from .keyspace import MAX_KEY, _exact_int
 from .nodes import TreeConfig
 from .tree import LeafTree
 from .verify import (INSERT, REMOVE, SEARCH, OpRecord, Violation,
                      check_history, snapshot_consistent)
 
 _SWITCH_INTERVAL = 1e-5
-
-
-@contextmanager
-def _no_gc():
-    """Cyclic GC off for the timed section. A generation-2 collection over
-    a multi-million record heap stops every thread for seconds, which the
-    progress audit would blame on the tree; refcounting still reclaims the
-    acyclic garbage."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -76,8 +61,8 @@ class RunConfig:
         if self.ops_per_thread < 1:
             raise ValueError(f"ops per thread must be >= 1: "
                              f"{self.ops_per_thread}")
-        if self.key_range < 4:
-            raise ValueError(f"key range must be >= 4: {self.key_range}")
+        if not 4 <= self.key_range <= MAX_KEY:
+            raise ValueError(f"key range not in [4, 2**63-1]: {self.key_range}")
         if (len(self.mix) != 3 or not all(map(math.isfinite, self.mix))
                 or min(self.mix) < 0 or sum(self.mix) <= 0):
             raise ValueError(f"mix needs three finite non-negative weights: "
@@ -191,38 +176,49 @@ def _voluntary_switches() -> int:
 def _run_all(tree: LeafTree, workloads, duration: float,
              buckets=None) -> tuple[list[int], float]:
     """Run workload i as thread i, with the cyclic GC off, and return the
-    op count of each thread and the elapsed seconds. One workload runs on
-    the calling thread with a logical clock; several run on real threads
-    started together, at the forced switch interval, on the monotonic
-    clock. With `buckets`, thread i records into buckets[i]."""
+    op count of each thread and the elapsed seconds. Thread 0 runs on the
+    caller, threads 1..n-1 beside it; one thread has a logical clock, and
+    several the monotonic clock at the forced switch interval. With
+    `buckets`, thread i records into buckets[i]. The first Exception a
+    thread raises is raised once every thread has joined."""
     n = len(workloads)
     outs = buckets or [None] * n
     counts = [0] * n
+    errors = []
+    clock = itertools.count().__next__ if n == 1 else time.monotonic_ns
+    gate = threading.Barrier(n)
+
+    def work(tid: int):
+        gate.wait()
+        try:
+            counts[tid] = _run(tree, tid, workloads[tid], outs[tid], clock,
+                               duration)
+        except Exception as exc:  # Ctrl-C on the caller stops at once
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(tid,), daemon=True)
+               for tid in range(1, n)]
+    old = sys.getswitchinterval()
+    gc_was_on = gc.isenabled()
+    # a generation-2 collection over a multi-million record heap stops
+    # every thread for seconds, which the progress audit would blame on the
+    # tree; refcounting still reclaims the acyclic garbage
+    gc.disable()
+    if threads:
+        sys.setswitchinterval(_SWITCH_INTERVAL)
     start = time.perf_counter()
-    with _no_gc():
-        if n == 1:
-            counts[0] = _run(tree, 0, workloads[0], outs[0],
-                             itertools.count().__next__, duration)
-        else:
-            gate = threading.Barrier(n)
-
-            def work(tid: int):
-                gate.wait()
-                counts[tid] = _run(tree, tid, workloads[tid], outs[tid],
-                                   time.monotonic_ns, duration)
-
-            old = sys.getswitchinterval()
-            sys.setswitchinterval(_SWITCH_INTERVAL)
-            try:
-                threads = [threading.Thread(target=work, args=(tid,),
-                                            daemon=True)
-                           for tid in range(n)]
-                for th in threads:
-                    th.start()
-                for th in threads:
-                    th.join()
-            finally:
-                sys.setswitchinterval(old)
+    try:
+        for th in threads:
+            th.start()
+        work(0)
+        for th in threads:
+            th.join()
+    finally:
+        sys.setswitchinterval(old)
+        if gc_was_on:
+            gc.enable()
+    if errors:
+        raise errors[0]
     return counts, time.perf_counter() - start
 
 

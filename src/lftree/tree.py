@@ -283,7 +283,6 @@ def _descend(tree, key):
         node = root
         grand = parent = None  # node's grandparent and parent, if any
         hi = MAX_KEY
-        restart = False
         while type(node) is InternalNode:  # no node class is subclassed
             yield
             st = node.status[0]
@@ -294,7 +293,6 @@ def _descend(tree, key):
                     # it finds it pre-frozen and replaces it
                     yield from rb.trigger(tree, root if grand is None
                                           else grand, key)
-                    restart = True
                     break
                 yield from rb.execute(tree, node, st, helped=True)
                 continue
@@ -305,18 +303,15 @@ def _descend(tree, key):
             if parent is not None and not min_size <= n <= order:
                 if grand is not None:
                     yield from rb.trigger(tree, grand, key)
-                    restart = True
                     break
                 # the root's only child owns the grow/shrink shapes
                 if n > order:
                     yield from rb.trigger(tree, root, key)
-                    restart = True
                     break
                 if n == 1:
                     yield
                     if isinstance(children[0], InternalNode):
                         yield from rb.trigger(tree, root, key)
-                        restart = True
                         break
             seps = node.separators
             j = node_search(seps, key)
@@ -325,9 +320,8 @@ def _descend(tree, key):
             yield
             grand, parent = parent, node
             node = children[j]
-        if restart:
-            continue
-        return grand, parent, node, hi
+        else:  # at a leaf; each break above restarts from the root
+            return grand, parent, node, hi
 
 
 def _find(leaf, e1, e2):

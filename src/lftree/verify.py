@@ -231,14 +231,19 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
     in_order = True  # each thread's records come in time order, disjoint
     for r in records:
         tid, kind, e1, e2, a, b, res = r
-        if not (a < b and 1 <= e1 <= e2
-                and (res >= 0 and (kind == SEARCH or kind == REMOVE)
-                     or kind == INSERT and e1 == e2
-                     and (res == 0 or res == 1))):
-            bad = _malformed(kind, e1, e2, a, b, res)
-            if bad:
-                out.append(Violation("malformed-record", r, bad))
-                continue
+        try:
+            if not (a < b and 1 <= e1 <= e2
+                    and (res >= 0 and (kind == SEARCH or kind == REMOVE)
+                         or kind == INSERT and e1 == e2
+                         and (res == 0 or res == 1))):
+                bad = _malformed(kind, e1, e2, a, b, res)
+                if bad:
+                    out.append(Violation("malformed-record", r, bad))
+                    continue
+        except TypeError:  # a field that is not a number
+            out.append(Violation("malformed-record", r,
+                                 _malformed(kind, e1, e2, a, b, res)))
+            continue
         sane.append(r)
         if a < last.get(tid, a):
             in_order = False
@@ -312,6 +317,9 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
 
 
 def _malformed(kind, e1, e2, t1, t2, result) -> str:
+    for name, value in zip(OpRecord._fields[2:], (e1, e2, t1, t2, result)):
+        if type(value) is not int:
+            return f"{name} must be an int, got {value!r}"
     if kind not in KINDS:
         return f"unknown kind {kind!r}"
     if t2 <= t1:

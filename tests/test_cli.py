@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from lftree import harness
 from lftree.cli import main
 from lftree.verify import OpRecord, SEARCH, write_trace
 
@@ -79,6 +80,9 @@ def test_check_progress_window(tmp_path, capsys):
     ["stress", "--order", "3", "--min-size", "8"],
     ["stress", "--mix", "1:2"],
     ["stress", "--mix", "nan:1:1"],
+    ["stress", "--range", "9223372036854775808"],
+    ["bench", "--range", "9223372036854775808", "--threads", "2",
+     "--duration", "0.1"],
     ["bench", "--duration", "0"],
     ["bench", "--duration", "nan"],
     ["bench", "--threads", "0,2", "--duration", "0.1"],
@@ -90,7 +94,9 @@ def test_check_progress_window(tmp_path, capsys):
     ["schedules", "help-storm", "--bound", "3", "--runs", "20"],
     ["schedules", "begin-race", "--runs", "5", "--seed", "1"],
     ["schedules", "begin-race", "--seed", "1"],
-], ids=["threads", "min-size", "order-below-2s-1", "mix", "mix-nan", "duration", "duration-nan",
+], ids=["threads", "min-size", "order-below-2s-1", "mix", "mix-nan",
+        "stress-range-above-max-key", "bench-range-above-max-key",
+        "duration", "duration-nan",
         "thread-list", "runs-negative", "runs-zero", "all-runs-zero",
         "bound-negative", "all-bound-negative", "seeded-bound",
         "exhaustive-runs", "exhaustive-seed"])
@@ -99,6 +105,23 @@ def test_bad_configuration_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert "error:" in err
     assert out == ""  # refused before any output, no partial table
+
+
+def test_stress_with_a_raising_thread_does_not_pass(monkeypatch, capsys):
+    class Boom(Exception):
+        pass
+
+    run = harness._run
+
+    def patched(tree, tid, *args):
+        if tid == 1:
+            raise Boom("thread 1")
+        return run(tree, tid, *args)
+
+    monkeypatch.setattr(harness, "_run", patched)
+    with pytest.raises(Boom):  # no exit code: a traceback, exit 1
+        main(["stress", "--threads", "2"] + STRESS_SMALL[3:])
+    assert "all checks passed" not in capsys.readouterr().out
 
 
 def test_check_rejects_a_negative_window(tmp_path, capsys):

@@ -3,6 +3,7 @@ multi thread runs, duration cycling, and the bench loop."""
 
 import hashlib
 import random
+import threading
 
 import pytest
 
@@ -14,6 +15,7 @@ from lftree.harness import (
     run_bench,
     run_stress,
 )
+from lftree.keyspace import MAX_KEY
 from lftree.nodes import TreeConfig
 from lftree.tree import LeafTree
 from lftree.verify import INSERT, REMOVE, SEARCH, SetOracle, write_trace
@@ -33,6 +35,7 @@ def small(**kw):
     dict(threads=0),
     dict(ops_per_thread=0),
     dict(key_range=3),
+    dict(key_range=MAX_KEY + 1),         # range ends past the largest key
     dict(mix=(1.0, 0.5)),
     dict(mix=(-1.0, 1.0, 1.0)),
     dict(mix=(0.0, 0.0, 0.0)),
@@ -53,11 +56,11 @@ def small(**kw):
     dict(leaf_capacity=8.5),
     dict(min_size=True),
     dict(order=4, min_size=3),           # K < 2S - 1: reshapes never settle
-], ids=["threads", "ops", "range", "mix-len", "mix-neg", "mix-zero",
-        "mix-nan", "mix-inf", "duration", "duration-nan", "duration-inf",
-        "min-size", "order", "threads-float", "threads-bool", "ops-float",
-        "range-str", "seed-float", "order-float", "leaf-float",
-        "min-size-bool", "order-below-2s-1"])
+], ids=["threads", "ops", "range", "range-above-max-key", "mix-len",
+        "mix-neg", "mix-zero", "mix-nan", "mix-inf", "duration",
+        "duration-nan", "duration-inf", "min-size", "order", "threads-float",
+        "threads-bool", "ops-float", "range-str", "seed-float", "order-float",
+        "leaf-float", "min-size-bool", "order-below-2s-1"])
 def test_config_rejected_before_any_run(kw):
     with pytest.raises(ValueError):
         small(**kw)
@@ -225,6 +228,14 @@ def test_threaded_run_checks_clean():
             assert prev.t1 < prev.t2 <= cur.t1
 
 
+def test_key_range_up_to_the_largest_key_runs():
+    # ranges clipped at key_range end on MAX_KEY, the largest valid key
+    result = run_stress(small(key_range=MAX_KEY))
+    assert result.ok, result.summary()
+    assert len(result.records) == 2000
+    assert any(r.e2 == MAX_KEY for r in result.records)
+
+
 def test_duration_cycles_the_workload():
     cfg = small(ops_per_thread=50, duration=0.15)
     result = run_stress(cfg)
@@ -288,3 +299,60 @@ def test_bench_reports_throughput(monkeypatch):
     assert counts == [row["ops"]]  # counted by the op loop stress runs too
     assert row["ops_per_sec"] > 0
     assert row["structure_violations"] == 0
+
+
+# --- one run path: thread 0 on the caller, a raising thread fails the run
+
+
+class Boom(Exception):
+    pass
+
+
+def _raising_in(monkeypatch, bad_tid):
+    """Patch harness._run so that thread `bad_tid` raises Boom at once."""
+    run = harness._run
+
+    def patched(tree, tid, *args):
+        if tid == bad_tid:
+            raise Boom(f"thread {tid}")
+        return run(tree, tid, *args)
+
+    monkeypatch.setattr(harness, "_run", patched)
+
+
+@pytest.mark.parametrize("threads, bad_tid", [(2, 1), (2, 0), (1, 0)],
+                         ids=["1-of-2", "0-of-2", "0-of-1"])
+def test_a_raising_thread_fails_the_run(monkeypatch, threads, bad_tid):
+    _raising_in(monkeypatch, bad_tid)
+    with pytest.raises(Boom, match=f"thread {bad_tid}"):
+        run_stress(small(threads=threads, ops_per_thread=500))
+    with pytest.raises(Boom, match=f"thread {bad_tid}"):
+        run_bench(small(threads=threads, ops_per_thread=500, duration=0.1))
+
+
+def test_run_all_raises_after_every_thread_has_finished(monkeypatch):
+    _raising_in(monkeypatch, 0)
+    cfg = small(threads=2, ops_per_thread=800)
+    workloads = [make_ops(cfg, tid) for tid in range(2)]
+    buckets = [[], []]
+    with pytest.raises(Boom):
+        harness._run_all(LeafTree(cfg.tree_config()), workloads, 0.0,
+                         buckets)
+    assert buckets[0] == []
+    assert [r[1:4] for r in buckets[1]] == workloads[1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_thread_0_runs_on_the_caller(monkeypatch, threads):
+    run = harness._run
+    ran_on = {}
+
+    def patched(tree, tid, *args):
+        ran_on[tid] = threading.current_thread()
+        return run(tree, tid, *args)
+
+    monkeypatch.setattr(harness, "_run", patched)
+    result = run_stress(small(threads=threads, ops_per_thread=300))
+    assert result.ok, result.summary()
+    assert ran_on[0] is threading.current_thread()
+    assert all(ran_on[tid] is not ran_on[0] for tid in range(1, threads))

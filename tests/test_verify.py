@@ -66,8 +66,15 @@ def test_oracle_range_answers_smallest():
     (OpRecord(0, INSERT, 1, 2, 0, 1, 1), "e1 == e2"),
     (OpRecord(0, INSERT, 1, 1, 0, 1, 2), "result must be 0 or 1"),
     (OpRecord(0, REMOVE, 1, 1, 0, 1, -1), "negative result"),
+    # a field that is not an int is named, not raised
+    (OpRecord(0, SEARCH, 1, 2, 0, 1, None), "result must be an int"),
+    (OpRecord(0, SEARCH, "1", 2, 0, 1, 0), "e1 must be an int"),
+    (OpRecord(0, REMOVE, 1, "2", 0, 1, 0), "e2 must be an int"),
+    (OpRecord(0, INSERT, 1, 1, "0", 1, 1), "t1 must be an int"),
+    (OpRecord(0, SEARCH, 1, 2, 0, None, 0), "t2 must be an int"),
 ], ids=["kind", "times", "range", "key-zero", "insert-range",
-        "insert-result", "negative"])
+        "insert-result", "negative", "result-none", "key-str", "e2-str",
+        "time-str", "time-none"])
 def test_malformed_records_are_flagged(record, detail):
     out = check_history([record])
     assert [v.rule for v in out] == ["malformed-record"]
