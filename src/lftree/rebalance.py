@@ -272,7 +272,8 @@ def _links(node):
     vals = []
     for i in range(len(links)):
         yield
-        vals.append(links[i])
+        link = links[i]
+        vals.append(link)
     return vals
 
 

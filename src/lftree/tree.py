@@ -9,7 +9,9 @@ Operations are written as generator cores that yield before every shared
 word access. The schedule explorer (sim.py) drives them step by step to
 enumerate interleavings; the public methods run copies derived from the
 same source with the yields compiled out (derive.py), since real threads
-are preempted by the interpreter anyway. Semantics are the interval-set
+are preempted by the interpreter anyway; a copied slot loop that uses its
+index only to read the slot iterates the word list instead (_find), with
+the same reads in the same order. Semantics are the interval-set
 contracts checked by verify.py: a search/remove over [e1, e2] returns the
 smallest key that was continuously present, or some key that was present
 at some point during the call; 0 means no key was continuously present.

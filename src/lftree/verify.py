@@ -236,17 +236,17 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
                     and (res >= 0 and (kind == SEARCH or kind == REMOVE)
                          or kind == INSERT and e1 == e2
                          and (res == 0 or res == 1))):
-                bad = _malformed(kind, e1, e2, a, b, res)
+                bad = _malformed(tid, kind, e1, e2, a, b, res)
                 if bad:
                     out.append(Violation("malformed-record", r, bad))
                     continue
-        except TypeError:  # a field that is not a number
+            if a < last.get(tid, a):
+                in_order = False
+        except TypeError:  # a field that is not a number, or tid unhashable
             out.append(Violation("malformed-record", r,
-                                 _malformed(kind, e1, e2, a, b, res)))
+                                 _malformed(tid, kind, e1, e2, a, b, res)))
             continue
         sane.append(r)
-        if a < last.get(tid, a):
-            in_order = False
         last[tid] = b
 
     if not in_order:  # sort each thread's records and report overlaps
@@ -316,8 +316,9 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
     return out
 
 
-def _malformed(kind, e1, e2, t1, t2, result) -> str:
-    for name, value in zip(OpRecord._fields[2:], (e1, e2, t1, t2, result)):
+def _malformed(tid, kind, e1, e2, t1, t2, result) -> str:
+    for name, value in zip(("tid", "e1", "e2", "t1", "t2", "result"),
+                           (tid, e1, e2, t1, t2, result)):
         if type(value) is not int:
             return f"{name} must be an int, got {value!r}"
     if kind not in KINDS:

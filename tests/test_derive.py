@@ -70,6 +70,12 @@ def test_derived_cores_are_plain_functions():
     # everything that is not a generator is shared, not copied
     assert direct_rb.RebalanceStats is rb.RebalanceStats
     assert direct_rb.live_keys is rb.live_keys
+    # a scan that needs no slot index iterates its word list; the others
+    # keep their index loop
+    for fn in (direct._find, direct_rb._links):
+        assert "range" not in fn.__code__.co_names
+    for fn in (direct._probe, direct._scan, direct_rb.freeze_leaf):
+        assert "range" in fn.__code__.co_names
 
 
 def _module(tmp_path, name, source):
@@ -108,3 +114,67 @@ def test_yield_free_refuses_a_yield_that_carries_a_value(tmp_path):
         "    return got\n"))
     with pytest.raises(SyntaxError, match="no yield-free form"):
         yield_free(mod)
+
+
+# Slot loops: only the first derives to an iteration. The others use the
+# index in the body, read it after the loop, read another list than the
+# one ranged over, or read a slot other than the index.
+_LOOPS = (
+    "def total(xs):\n"
+    "    s = 0\n"
+    "    for i in range(len(xs)):\n"
+    "        yield\n"
+    "        w = xs[i]\n"
+    "        s += w\n"
+    "    return s\n"
+    "\n"
+    "def weighted(xs):\n"
+    "    s = 0\n"
+    "    for i in range(len(xs)):\n"
+    "        yield\n"
+    "        w = xs[i]\n"
+    "        s += i * w\n"
+    "    return s\n"
+    "\n"
+    "def first_zero(xs):\n"
+    "    for i in range(len(xs)):\n"
+    "        yield\n"
+    "        w = xs[i]\n"
+    "        if not w:\n"
+    "            break\n"
+    "    return i\n"
+    "\n"
+    "def total_of(xs, ys):\n"
+    "    s = 0\n"
+    "    for i in range(len(xs)):\n"
+    "        yield\n"
+    "        w = ys[i]\n"
+    "        s += w\n"
+    "    return s\n"
+    "\n"
+    "def successors(xs):\n"
+    "    out = []\n"
+    "    for i in range(len(xs)):\n"
+    "        yield\n"
+    "        w = xs[i + 1]\n"
+    "        out.append(w)\n"
+    "        if not w:\n"
+    "            break\n"
+    "    return out\n")
+
+
+@pytest.mark.parametrize("name,args,iterates", [
+    ("total", ([3, 1, 4, 0, 5],), True),
+    ("weighted", ([3, 1, 4, 0, 5],), False),
+    ("first_zero", ([3, 1, 4, 0, 5],), False),
+    ("total_of", ([3, 1, 4], [20, 30, 40, 50]), False),
+    ("successors", ([3, 1, 4, 0, 5],), False),
+], ids=["index-only", "index-in-body", "index-after-loop", "other-list",
+        "next-slot"])
+def test_slot_loops_iterate_only_when_the_index_is_unused(tmp_path, name,
+                                                          args, iterates):
+    mod = _module(tmp_path, "loops", _LOOPS)
+    derived = getattr(yield_free(mod), name)
+    assert derived(*args) == sim.run(getattr(mod, name)(*args))
+    names = derived.__code__.co_names
+    assert ("range" in names, "len" in names) == (not iterates,) * 2

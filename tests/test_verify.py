@@ -72,9 +72,11 @@ def test_oracle_range_answers_smallest():
     (OpRecord(0, REMOVE, 1, "2", 0, 1, 0), "e2 must be an int"),
     (OpRecord(0, INSERT, 1, 1, "0", 1, 1), "t1 must be an int"),
     (OpRecord(0, SEARCH, 1, 2, 0, None, 0), "t2 must be an int"),
+    # an unhashable tid cannot key the per-thread order check
+    (OpRecord([0], SEARCH, 1, 2, 0, 1, 0), "tid must be an int"),
 ], ids=["kind", "times", "range", "key-zero", "insert-range",
         "insert-result", "negative", "result-none", "key-str", "e2-str",
-        "time-str", "time-none"])
+        "time-str", "time-none", "tid-list"])
 def test_malformed_records_are_flagged(record, detail):
     out = check_history([record])
     assert [v.rule for v in out] == ["malformed-record"]
@@ -114,7 +116,7 @@ _ROWS = st.builds(
 def test_malformed_and_overlapping_records_are_reported_first_in_order(recs):
     # malformed rows in record order, then every thread's overlaps in order
     # of first appearance, then the contract rules
-    bad = [(r, verify._malformed(*r[1:])) for r in recs]
+    bad = [(r, verify._malformed(*r)) for r in recs]
     sane = [r for r, why in bad if not why]
     want = [("malformed-record", r, why) for r, why in bad if why]
     want += [("overlapping-thread-ops", cur,
