@@ -8,10 +8,10 @@ tuple serializes rebalancing among its grandchildren. Slots, links and
 status are shared words, each an entry of a list: read them directly,
 write them only with cells.cas (status with index 0).
 
-Status word: a 4-tuple (parent_key, unbalanced_key, seq, step).
-  step IDLE   - no rebalance pending; parent_key/unbalanced_key are 0.
+Status word: a 3-tuple (key, seq, step).
+  step IDLE   - no rebalance pending; key is 0.
   step PREP   - a rebalance is advertised: any thread may help by freezing
-                the named nodes and building the replacement.
+                the two nodes key leads to and building the replacement.
   step SWAP   - freezing is done; the only remaining write is one child-link
                 CAS from the old parent to its replacement, then the clear.
   step FROZEN - terminal; the node's links and status never change again.
@@ -33,7 +33,7 @@ PREP = 1
 SWAP = 2
 FROZEN = 3
 
-STATUS_IDLE = (0, 0, 0, IDLE)
+STATUS_IDLE = (0, 0, IDLE)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Cooperative rebalancing: advertise, freeze, replace, clear.
 
 A rebalance is advertised on the grandparent of the unbalanced node by
-CASing the grandparent's status from (0, 0, seq, IDLE) to
-(parent_key, unbalanced_key, seq, PREP). From that point any thread can
-drive it to completion by replaying `execute`, which is a deterministic
+CASing the grandparent's status from (0, seq, IDLE) to (key, seq, PREP),
+key being any key the unbalanced node covers. From that point any thread
+can drive it to completion by replaying `execute`, which is a deterministic
 function of the status tuple and the frozen content it finds:
 
-  1. locate the parent by parent_key and freeze it (an internal node with
-     its own pending rebalance is helped to completion first; freezing is a
-     one-way status CAS, leaf slots are frozen word by word),
-  2. locate the unbalanced node by unbalanced_key inside the frozen parent,
+  1. locate the parent by key and freeze it (an internal node with its own
+     pending rebalance is helped to completion first; freezing is a one-way
+     status CAS, leaf slots are frozen word by word),
+  2. locate the unbalanced node by the same key inside the frozen parent,
      freeze it, pick and freeze a sibling if the action needs one,
   3. build a replacement parent from the frozen content (pure computation,
      so every helper builds the same thing): every reshape is one splice
@@ -20,7 +20,7 @@ function of the status tuple and the frozen content it finds:
   5. CAS the grandparent's child link from the old parent to the
      replacement; object identity guarantees at most one such CAS ever
      succeeds, because a replaced parent object is never linked again,
-  6. CAS the status to (0, 0, seq + 1, IDLE).
+  6. CAS the status to (0, seq + 1, IDLE).
 
 Between a helper's status check and its freeze CAS the rebalance may
 complete; the guard re-reads the status immediately before every freeze CAS
@@ -67,7 +67,6 @@ class RebalanceStats:
     def __init__(self):
         self.lock = threading.Lock()
         self.begins = 0
-        self.link_swaps = 0
         self.retired = 0        # nodes unlinked by link swaps
         self.clears = 0
         self.helper_clears = 0
@@ -77,7 +76,7 @@ class RebalanceStats:
         with self.lock:
             return {
                 "begins": self.begins,
-                "link_swaps": self.link_swaps,
+                "link_swaps": len(self.records),
                 "retired": self.retired,
                 "clears": self.clears,
                 "helper_clears": self.helper_clears,
@@ -103,13 +102,13 @@ def live_keys(words) -> list[int]:
 # copies that tree.py derives from these (see derive.py).
 
 
-def begin(tree, grand, parent_key: int, unbalanced_key: int):
+def begin(tree, grand, key: int):
     """Advertise a rebalance at `grand`. True iff this thread installed it."""
     yield
     st = grand.status[0]
-    if st[3] != IDLE:
+    if st[2] != IDLE:
         return False
-    new = (parent_key, unbalanced_key, st[2], PREP)
+    new = (key, st[1], PREP)
     yield
     if cas(grand.status, 0, st, new):
         stats = tree.stats
@@ -125,22 +124,20 @@ def begin(tree, grand, parent_key: int, unbalanced_key: int):
 def trigger(tree, grand, key: int):
     """Begin-or-help. Ensures one rebalance completes at `grand`: our own if
     the status was idle, else the pending one. Returns True iff we began."""
-    won = yield from begin(tree, grand, key, key)
+    won = yield from begin(tree, grand, key)
     yield
     st = grand.status[0]
-    if st[3] in (PREP, SWAP):
+    if st[2] in (PREP, SWAP):
         yield from execute(tree, grand, st, helped=not won)
     return won
 
 
-def help_pending(tree, node) -> bool:
+def help_pending(tree, node):
     """Drive any rebalance advertised at `node` to completion."""
     yield
     st = node.status[0]
-    if st[3] in (PREP, SWAP):
+    if st[2] in (PREP, SWAP):
         yield from execute(tree, node, st, helped=True)
-        return True
-    return False
 
 
 def freeze_internal(tree, grand, live, node):
@@ -151,9 +148,9 @@ def freeze_internal(tree, grand, live, node):
     while True:
         yield
         st = node.status[0]
-        if st[3] == FROZEN:
+        if st[2] == FROZEN:
             return True
-        if st[3] in (PREP, SWAP):
+        if st[2] in (PREP, SWAP):
             yield from execute(tree, node, st, helped=True)
             continue
         yield
@@ -161,7 +158,7 @@ def freeze_internal(tree, grand, live, node):
         if cur not in live:
             return False
         yield
-        cas(node.status, 0, st, (0, 0, st[2], FROZEN))
+        cas(node.status, 0, st, (0, st[1], FROZEN))
 
 
 def freeze_leaf(tree, grand, live, leaf):
@@ -190,12 +187,12 @@ def freeze_leaf(tree, grand, live, leaf):
 
 def execute(tree, grand, st, helped: bool = False):
     """Drive the rebalance advertised by status tuple `st` to completion."""
-    pk, uk, seq, step = st
+    key, seq, step = st
     if step not in (PREP, SWAP):
         return
-    live = ((pk, uk, seq, PREP), (pk, uk, seq, SWAP))
+    live = ((key, seq, PREP), (key, seq, SWAP))
 
-    jp = node_search(grand.separators, pk)
+    jp = node_search(grand.separators, key)
     links = grand.children
     yield
     parent = links[jp]
@@ -205,12 +202,12 @@ def execute(tree, grand, st, helped: bool = False):
     cur = grand.status[0]
     if cur not in live:
         return
-    if cur[3] == SWAP:
+    if cur[2] == SWAP:
         # an unfrozen child at step SWAP means the link swap already
         # happened; the only duty left is the clear
         yield
         pst = parent.status[0]
-        if pst[3] != FROZEN:
+        if pst[2] != FROZEN:
             yield from _clear(tree, grand, live[1], helped)
             return
 
@@ -218,7 +215,7 @@ def execute(tree, grand, st, helped: bool = False):
     if not ok:
         return
 
-    plan = yield from _build_plan(tree, grand, live, parent, uk)
+    plan = yield from _build_plan(tree, grand, live, parent, key)
     if plan is None:
         return
     new_parent, record, unlinked = plan
@@ -240,7 +237,6 @@ def execute(tree, grand, st, helped: bool = False):
             stats = tree.stats
             stats.lock.acquire()
             try:
-                stats.link_swaps += 1
                 stats.retired += unlinked
                 stats.records.append(record)
             finally:
@@ -250,9 +246,8 @@ def execute(tree, grand, st, helped: bool = False):
 
 
 def _clear(tree, grand, swap_status, helped):
-    pk, uk, seq, _ = swap_status
     yield
-    if cas(grand.status, 0, swap_status, (0, 0, seq + 1, IDLE)):
+    if cas(grand.status, 0, swap_status, (0, swap_status[1] + 1, IDLE)):
         stats = tree.stats
         stats.lock.acquire()
         try:
@@ -277,7 +272,7 @@ def _links(node):
     return vals
 
 
-def _build_plan(tree, grand, live, parent, uk):
+def _build_plan(tree, grand, live, parent, key):
     """Freeze the remaining targets and build the replacement parent.
 
     Deterministic given the frozen content, so concurrent executors build
@@ -300,11 +295,11 @@ def _build_plan(tree, grand, live, parent, uk):
             only = parent.children[0]
             if isinstance(only, InternalNode):
                 return (yield from _plan_shrink(tree, grand, live, only))
-            # single leaf child: fall through, uk names the leaf
+            # single leaf child: fall through, key names the leaf
 
     pvals = yield from _links(parent)
 
-    ju = node_search(parent.separators, uk)
+    ju = node_search(parent.separators, key)
     unb = pvals[ju]
 
     if isinstance(unb, LeafNode):

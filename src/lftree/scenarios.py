@@ -81,10 +81,10 @@ def _expect(problems: list, cond: bool, msg: str) -> None:
 
 
 def _settled(tree, problems, swaps: int, seq: int, keys: list) -> None:
-    _expect(problems, tree.root.status[0] == (0, 0, seq, IDLE),
+    _expect(problems, tree.root.status[0] == (0, seq, IDLE),
             f"root status {tree.root.status[0]}, wanted seq {seq} idle")
-    _expect(problems, tree.stats.link_swaps == swaps,
-            f"{tree.stats.link_swaps} link swaps, wanted {swaps}")
+    n = len(tree.stats.records)
+    _expect(problems, n == swaps, f"{n} link swaps, wanted {swaps}")
     got = tree.snapshot()
     _expect(problems, got == keys, f"snapshot {got}, wanted {keys}")
     bad = tree.check_structure()
@@ -96,8 +96,8 @@ def _settled(tree, problems, swaps: int, seq: int, keys: list) -> None:
 
 def _begin_race_setup(clock):
     tree = _full_leaf_tree()
-    return tree, [rb.begin(tree, tree.root, 45, 45),
-                  rb.begin(tree, tree.root, 45, 45)]
+    return tree, [rb.begin(tree, tree.root, 45),
+                  rb.begin(tree, tree.root, 45)]
 
 
 def _begin_race_check(tree, threads, schedule):
@@ -105,10 +105,10 @@ def _begin_race_check(tree, threads, schedule):
     wins = [th.result for th in threads]
     _expect(problems, sorted(wins) == [False, True],
             f"begin results {wins}, wanted exactly one winner")
-    _expect(problems, tree.root.status[0] == (45, 45, 0, PREP),
+    _expect(problems, tree.root.status[0] == (45, 0, PREP),
             f"status {tree.root.status[0]} after begin")
     # drive the advertised rebalance to completion deterministically
-    sim.run(rb.execute(tree, tree.root, (45, 45, 0, PREP)))
+    sim.run(rb.execute(tree, tree.root, (45, 0, PREP)))
     _settled(tree, problems, swaps=1, seq=1, keys=[10, 20, 30, 40])
     recs = tree.stats.records
     _expect(problems, [r.action for r in recs] == [rb.SPLIT],
@@ -122,10 +122,13 @@ def _begin_race_check(tree, threads, schedule):
 # read-race: a search races a status observer. Both are read-only, so the
 # schedule count is analytic; the status must read idle at every point.
 
-def _watch(tree, out, loads: int = 4):
-    for _ in range(loads):
+_WATCH_LOADS = 4
+
+
+def _watch(tree, out):
+    for _ in range(_WATCH_LOADS):
         yield
-        out.append(tree.root.status[0][3])
+        out.append(tree.root.status[0][2])
 
 
 def _read_race_setup(clock):
@@ -140,7 +143,7 @@ def _read_race_check(out, threads, schedule):
     problems: list[str] = []
     _expect(problems, threads[0].result == 10,
             f"search(10,15) -> {threads[0].result}")
-    _expect(problems, out == [IDLE] * 4,
+    _expect(problems, out == [IDLE] * _WATCH_LOADS,
             f"observed statuses {out}, wanted all idle")
     return problems
 
@@ -150,7 +153,7 @@ def _pending_split(phase: int, helpers: int, clock):
     root status reaches `phase`, plus `helpers` help_pending threads."""
     tree = _full_leaf_tree()
     owner = sim.SimThread(rb.trigger(tree, tree.root, 45))
-    sim.run_until(owner, lambda: tree.root.status[0][3] == phase)
+    sim.run_until(owner, lambda: tree.root.status[0][2] == phase)
     assert not owner.done
     return tree, [owner.gen] + [rb.help_pending(tree, tree.root)
                                 for _ in range(helpers)]
@@ -249,7 +252,7 @@ def _stale_grandparent_check(ctx, threads, schedule):
     _expect(problems, threads[1].result is True, "insert 61 failed")
     _settled(tree, problems, swaps=3, seq=6,
              keys=[10, 20, 30, 33, 35, 38, 40, 50, 55, 58, 59, 60, 61, 70])
-    _expect(problems, old_top.status[0][3] == FROZEN,
+    _expect(problems, old_top.status[0][2] == FROZEN,
             f"old top status {old_top.status[0]}")
     _expect(problems, tree.root.children[0] is not old_top,
             "old top still linked")
@@ -268,8 +271,8 @@ def _stale_grandparent_check(ctx, threads, schedule):
 def _freeze_race_setup(clock):
     tree = LeafTree(_SMALL)
     leaf = LeafNode(4, [10, 20, DEAD, DEAD])
-    tree.root.status[0] = (1, 1, 0, PREP)
-    live = ((1, 1, 0, PREP), (1, 1, 0, SWAP))
+    tree.root.status[0] = (1, 0, PREP)
+    live = ((1, 0, PREP), (1, 0, SWAP))
     return leaf, [rb.freeze_leaf(tree, tree.root, live, leaf),
                   rb.freeze_leaf(tree, tree.root, live, leaf)]
 

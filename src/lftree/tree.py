@@ -172,7 +172,7 @@ class LeafTree:
                     owner[p] = node
                 continue
             st = node.status[0]
-            if st[3] != IDLE:
+            if st[2] != IDLE:
                 bad.append(f"non-idle status at quiesce: {st}")
             seps = node.separators
             children = node.children
@@ -288,8 +288,8 @@ def _descend(tree, key):
         while type(node) is InternalNode:  # no node class is subclassed
             yield
             st = node.status[0]
-            if st[3] != IDLE:
-                if st[3] == FROZEN:
+            if st[2] != IDLE:
+                if st[2] == FROZEN:
                     # still linked after its rebalance completed between a
                     # helper's guard check and freeze CAS: a rebalance over
                     # it finds it pre-frozen and replaces it

@@ -232,17 +232,17 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
     for r in records:
         tid, kind, e1, e2, a, b, res = r
         try:
-            if not (a < b and 1 <= e1 <= e2
+            if not (type(tid) is type(e1) is type(e2) is type(a) is type(b)
+                    is type(res) is int and a < b and 1 <= e1 <= e2
                     and (res >= 0 and (kind == SEARCH or kind == REMOVE)
                          or kind == INSERT and e1 == e2
                          and (res == 0 or res == 1))):
-                bad = _malformed(tid, kind, e1, e2, a, b, res)
-                if bad:
-                    out.append(Violation("malformed-record", r, bad))
-                    continue
+                out.append(Violation("malformed-record", r, _malformed(
+                    tid, kind, e1, e2, a, b, res)))
+                continue
             if a < last.get(tid, a):
                 in_order = False
-        except TypeError:  # a field that is not a number, or tid unhashable
+        except TypeError:  # a kind whose comparison raises
             out.append(Violation("malformed-record", r,
                                  _malformed(tid, kind, e1, e2, a, b, res)))
             continue
@@ -321,7 +321,7 @@ def _malformed(tid, kind, e1, e2, t1, t2, result) -> str:
                            (tid, e1, e2, t1, t2, result)):
         if type(value) is not int:
             return f"{name} must be an int, got {value!r}"
-    if kind not in KINDS:
+    if type(kind) is not str or kind not in KINDS:
         return f"unknown kind {kind!r}"
     if t2 <= t1:
         return f"response {t2} not after invocation {t1}"

@@ -417,7 +417,7 @@ def check_structure_by_walk(tree) -> list:
                 seen_keys.add(p)
             return
         st = node.status[0]
-        if st[3] != IDLE:
+        if st[2] != IDLE:
             bad.append(f"non-idle status at quiesce: {st}")
         seps = node.separators
         n = len(node.children)

@@ -22,9 +22,9 @@ def test_cas_compares_identity_or_equality():
     assert c.cas(sentinel, "done")  # identity match, no __eq__ needed
     assert c.load() == "done"
 
-    c2 = Cell((1, 2, 0, 1))
-    assert c2.cas((1, 2, 0, 1), (0, 0, 1, 0))  # equal tuple, fresh object
-    assert c2.load() == (0, 0, 1, 0)
+    c2 = Cell((2, 0, 1))
+    assert c2.cas((2, 0, 1), (0, 1, 0))  # equal tuple, fresh object
+    assert c2.load() == (0, 1, 0)
 
 
 def test_cas_on_distinct_cells_is_independent():
@@ -74,23 +74,23 @@ def test_cas_leaves_its_stripe_unlocked():
 
 def test_cas_status_compares_by_equality():
     node = InternalNode([LeafNode(4)])
-    node.status[0] = (1, 2, 0, 1)
-    assert cas(node.status, 0, (1, 2, 0, 1), (0, 0, 1, 0))  # equal, fresh tuple
-    assert node.status == [(0, 0, 1, 0)]
-    assert not cas(node.status, 0, (1, 2, 0, 1), (0, 0, 2, 0))
-    assert node.status == [(0, 0, 1, 0)]
+    node.status[0] = (2, 0, 1)
+    assert cas(node.status, 0, (2, 0, 1), (0, 1, 0))  # equal, fresh tuple
+    assert node.status == [(0, 1, 0)]
+    assert not cas(node.status, 0, (2, 0, 1), (0, 2, 0))
+    assert node.status == [(0, 1, 0)]
 
 
 def test_cas_status_leaves_its_stripe_unlocked():
     node = InternalNode([LeafNode(4)])
     stripe = _stripe_of(node.status)
-    assert cas(node.status, 0, node.status[0], (0, 0, 1, 0))
+    assert cas(node.status, 0, node.status[0], (0, 1, 0))
     assert not stripe.locked()
-    assert not cas(node.status, 0, (0, 0, 0, 0), (0, 0, 2, 0))
+    assert not cas(node.status, 0, (0, 0, 0), (0, 2, 0))
     assert not stripe.locked()
     node.status[0] = _Raises()
     with pytest.raises(RuntimeError):
-        cas(node.status, 0, (0, 0, 1, 0), (0, 0, 2, 0))
+        cas(node.status, 0, (0, 1, 0), (0, 2, 0))
     assert not stripe.locked()
 
 

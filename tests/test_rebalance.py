@@ -181,8 +181,8 @@ def test_freeze_leaf_is_idempotent():
     cfg = TreeConfig(3, 4, 2)
     tree = LeafTree(cfg)
     leaf = LeafNode(4, [encode(10), encode(20)])
-    tree.root.status[0] = (1, 1, 0, PREP)
-    live = ((1, 1, 0, PREP), (1, 1, 0, SWAP))
+    tree.root.status[0] = (1, 0, PREP)
+    live = ((1, 0, PREP), (1, 0, SWAP))
     first = sim.run(rb.freeze_leaf(tree, tree.root, live, leaf))
     second = sim.run(rb.freeze_leaf(tree, tree.root, live, leaf))
     assert first == second
@@ -195,8 +195,8 @@ def test_freeze_abandons_on_stale_status():
     cfg = TreeConfig(3, 4, 2)
     tree = LeafTree(cfg)
     leaf = LeafNode(4, [encode(10)])
-    tree.root.status[0] = (0, 0, 7, IDLE)  # already cleared
-    live = ((1, 1, 0, PREP), (1, 1, 0, SWAP))
+    tree.root.status[0] = (0, 7, IDLE)  # already cleared
+    live = ((1, 0, PREP), (1, 0, SWAP))
     got = sim.run(rb.freeze_leaf(tree, tree.root, live, leaf))
     assert got is None
 
@@ -210,4 +210,20 @@ def test_stats_counters_track_one_rebalance():
     assert snap["begins"] == 1
     assert snap["link_swaps"] == 1
     assert snap["clears"] == 1
-    assert tree.root.status[0] == (0, 0, 1, IDLE)
+    assert tree.root.status[0] == (0, 1, IDLE)
+
+
+def test_one_split_names_its_rebalance_by_one_key():
+    # stepped one yield at a time, the root's status advertises the split
+    # of the leaf covering 45, advances it and clears it, and nothing else
+    tree = LeafTree(TreeConfig(3, 4, 2))
+    for k in (10, 20, 30, 40):
+        tree.insert(k)
+    owner = sim.SimThread(rb.trigger(tree, tree.root, 45))
+    seen = [tree.root.status[0]]
+    while not owner.done:
+        sim.step(owner)
+        if tree.root.status[0] != seen[-1]:
+            seen.append(tree.root.status[0])
+    assert owner.result is True
+    assert seen == [(0, 0, IDLE), (45, 0, PREP), (45, 0, SWAP), (0, 1, IDLE)]

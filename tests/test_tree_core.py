@@ -135,7 +135,7 @@ def test_check_structure_flags_frozen_slot_and_status():
     tree = build_flat(TreeConfig(3, 4, 2), [[1, 2], [5, 7]])
     inner = tree.root.children[0]
     inner.children[0].slots[0] = encode(1) | RO_BIT
-    inner.status[0] = (1, 1, 0, FROZEN)
+    inner.status[0] = (1, 0, FROZEN)
     bad = tree.check_structure()
     assert any("frozen key" in b for b in bad)
     assert any("non-idle status" in b for b in bad)
@@ -258,7 +258,7 @@ def _frozen_key(tree, rng):
 
 def _busy_status(tree, rng):
     node = rng.choice(_internal_nodes(tree))
-    node.status[0] = (1, 1, 0, rng.choice((PREP, SWAP, FROZEN)))
+    node.status[0] = (1, 0, rng.choice((PREP, SWAP, FROZEN)))
     return True
 
 

@@ -58,6 +58,11 @@ def test_oracle_range_answers_smallest():
 # --- malformed records --------------------------------------------------
 
 
+class _RaisingKind:
+    def __eq__(self, other):
+        raise TypeError("not comparable")
+
+
 @pytest.mark.parametrize("record,detail", [
     (OpRecord(0, "DELETE", 1, 1, 0, 1, 0), "unknown kind"),
     (OpRecord(0, SEARCH, 1, 1, 5, 5, 0), "not after invocation"),
@@ -74,9 +79,16 @@ def test_oracle_range_answers_smallest():
     (OpRecord(0, SEARCH, 1, 2, 0, None, 0), "t2 must be an int"),
     # an unhashable tid cannot key the per-thread order check
     (OpRecord([0], SEARCH, 1, 2, 0, 1, 0), "tid must be an int"),
+    # a number that is not exactly an int compares, but is no key or time
+    (OpRecord(0, SEARCH, 1.5, 2, 0, 1, 0), "e1 must be an int"),
+    (OpRecord(0, SEARCH, 1, 2, 0.5, 1, 0), "t1 must be an int"),
+    (OpRecord(0, INSERT, 2, 2, 0, 1, True), "result must be an int"),
+    (OpRecord(True, INSERT, 2, 2, 0, 1, 1), "tid must be an int"),
+    (OpRecord(0, _RaisingKind(), 1, 1, 0, 1, 0), "unknown kind"),
 ], ids=["kind", "times", "range", "key-zero", "insert-range",
         "insert-result", "negative", "result-none", "key-str", "e2-str",
-        "time-str", "time-none", "tid-list"])
+        "time-str", "time-none", "tid-list", "e1-float", "time-float",
+        "result-bool", "tid-bool", "kind-raises"])
 def test_malformed_records_are_flagged(record, detail):
     out = check_history([record])
     assert [v.rule for v in out] == ["malformed-record"]
