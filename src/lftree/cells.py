@@ -15,11 +15,11 @@ value equality for the int words and status tuples stored here.
 The CAS takes its stripe with explicit acquire() and try/finally
 release() rather than `with`, whose context-manager protocol (a bound
 __enter__ call, then __exit__ with three arguments) costs more than the
-compare and set. scripts/leaf_scan_bench.py on CPython 3.11.7 (2 shared
-cores) timed a successful cas at 790-1010 ns with `with` and 700-710 ns
-this way; it now reads 714-734 ns (quartiles over 41 passes), where the
-separate status CAS read 793-827 ns. A leaf freeze issues one CAS per
-slot. The finally clause still releases the lock if the comparison raises.
+compare and set: on CPython 3.11.7 (2 shared cores) a successful cas
+timed 790-1010 ns with `with` and 700-710 ns this way. scripts/layer_bench.py
+now reads it at 549 and 569 ns calibrated (medians over 5 passes in two
+invocations; 354 and 392 ns raw). A leaf freeze issues one CAS per slot.
+The finally clause still releases the lock if the comparison raises.
 """
 
 from __future__ import annotations

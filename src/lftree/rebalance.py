@@ -186,10 +186,9 @@ def freeze_leaf(tree, grand, live, leaf):
 
 
 def execute(tree, grand, st, helped: bool = False):
-    """Drive the rebalance advertised by status tuple `st` to completion."""
-    key, seq, step = st
-    if step not in (PREP, SWAP):
-        return
+    """Drive the rebalance advertised by status tuple `st`, whose step is
+    PREP or SWAP, to completion."""
+    key, seq, _ = st
     live = ((key, seq, PREP), (key, seq, SWAP))
 
     jp = node_search(grand.separators, key)

@@ -408,8 +408,8 @@ class TraceError(ValueError):
 def write_trace(path, records: Iterable[OpRecord], comment: str = "") -> None:
     """Tab-separated rows: tid, kind, e1, e2, t1, t2, result."""
     with open(path, "w", encoding="ascii") as f:
-        if comment:
-            f.write(f"# {comment}\n")
+        for line in comment.splitlines():
+            f.write(f"# {line}\n")
         for r in records:
             f.write(r.line() + "\n")
 

@@ -1,0 +1,20 @@
+"""scripts/layer_bench.py: the explore-small pass it times keeps its step
+structure."""
+
+import importlib.util
+import os
+
+SCRIPT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts", "layer_bench.py")
+
+
+def test_explorer_pass_is_pinned():
+    spec = importlib.util.spec_from_file_location("layer_bench", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    figures, steps, schedules = bench.explore_figures(bench.calibrated())
+    assert schedules == 15_360
+    assert steps == 1_664_189  # 108.3456 clock steps per schedule
+    assert set(figures) == set(bench.EXPLORE_FIGURES)
+    for name, (calibrated, raw) in figures.items():
+        assert calibrated > 0 and raw > 0, name

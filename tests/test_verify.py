@@ -533,10 +533,12 @@ def test_trace_round_trip(tmp_path):
         OpRecord(1, SEARCH, 1, 9, 2, 7, 5),
         OpRecord(2, REMOVE, 1, 9, 8, 11, 5),
     ]
-    write_trace(path, recs, comment="tiny run")
-    text = path.read_text()
-    assert text.startswith("# tiny run\n")
-    assert read_trace(path) == recs
+    for comment, header in (("tiny run", "# tiny run\n"),
+                            ("seed=1\nthreads=2", "# seed=1\n# threads=2\n")):
+        write_trace(path, recs, comment=comment)
+        text = path.read_text()
+        assert text.startswith(header + recs[0].line())
+        assert read_trace(path) == recs
 
 
 def test_trace_reader_skips_comments_and_blanks(tmp_path):
