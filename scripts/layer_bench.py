@@ -34,11 +34,17 @@ calibration kernel run right after it (perfbench/calibrate.py). Figures:
   schedule_us          the whole explore time per schedule
   steps_per_schedule   clock steps per schedule, read from the clock at the
                        check (the prestate's steps included); not timed
+  _find/_probe/cas_over_scan
+                       the raw figure over the raw `_scan_ns_per_slot` of
+                       the same rep (median over REPS): loops timed
+                       milliseconds apart, so most of the machine's drift
+                       between passes drops out
 
-Prints one JSON line: per checkout, its commit, the schedules per pass, and
-for each timed figure the median and quartiles over the passes of its
-calibrated value with the median of its raw value beside them. Exits 1 when
-an explored schedule fails its check.
+Prints one JSON line: per checkout, its commit, the schedules per pass, for
+each timed figure the median and quartiles over the passes of its
+calibrated value with the median of its raw value beside them, and for each
+ratio its median and quartiles over the passes. Exits 1 when an explored
+schedule fails its check.
 """
 
 from __future__ import annotations
@@ -62,6 +68,10 @@ REPS = 41
 SEED = 1
 LEAF_FIGURES = ("_find_ns_per_slot", "_probe_ns_per_slot",
                 "_scan_ns_per_slot", "cas_ns_per_call")
+# ratio -> the leaf figure it puts over `_scan_ns_per_slot`
+RATIOS = {"_find_over_scan": "_find_ns_per_slot",
+          "_probe_over_scan": "_probe_ns_per_slot",
+          "cas_over_scan": "cas_ns_per_call"}
 EXPLORE_FIGURES = ("ns_per_step", "setup_us", "check_history_us",
                    "check_structure_us", "snapshot_us", "schedule_us")
 
@@ -73,8 +83,9 @@ def calibrated() -> Calibrated:
     return cal
 
 
-def leaf_figures(cal: Calibrated) -> dict:
-    """{figure: (calibrated, raw)} of the leaf scans and the CAS."""
+def leaf_figures(cal: Calibrated) -> tuple:
+    """({figure: (calibrated, raw)}, {ratio: value}) of the leaf scans and
+    the CAS."""
     from lftree import LeafTree, cells
     from lftree import tree as tree_mod
     from workloads import READ_CFG, READ_RANGE, READ_WIDTH
@@ -109,8 +120,11 @@ def leaf_figures(cal: Calibrated) -> dict:
             f = cal.after()
             ns[name][0].append(raw * f)
             ns[name][1].append(raw)
-    return {name: (statistics.median(c), statistics.median(r))
-            for name, (c, r) in ns.items()}
+    scan = ns["_scan_ns_per_slot"][1]
+    ratios = {ratio: statistics.median(x / y for x, y in zip(ns[name][1], scan))
+              for ratio, name in RATIOS.items()}
+    return ({name: (statistics.median(c), statistics.median(r))
+             for name, (c, r) in ns.items()}, ratios)
 
 
 def explore_figures(cal: Calibrated) -> tuple:
@@ -175,10 +189,11 @@ def one_pass(checkout: str) -> dict:
     """Every figure of one fresh process on the lftree of `checkout`."""
     sys.path.insert(0, os.path.join(checkout, "src"))
     cal = calibrated()
-    timed = leaf_figures(cal)
+    timed, ratios = leaf_figures(cal)
     explored, steps, schedules = explore_figures(cal)
     timed.update(explored)
-    return {"timed": timed, "steps": steps, "schedules": schedules}
+    return {"timed": timed, "ratios": ratios, "steps": steps,
+            "schedules": schedules}
 
 
 def _commit(checkout: str) -> str:
@@ -190,12 +205,13 @@ def _commit(checkout: str) -> str:
         return "unknown"
 
 
-def _spread(xs: list) -> dict:
+def _spread(xs: list, digits: int = 2) -> dict:
     if len(xs) > 1:
         q1, med, q3 = statistics.quantiles(xs, n=4)
     else:
         q1 = med = q3 = xs[0]
-    return {"median": round(med, 2), "q1": round(q1, 2), "q3": round(q3, 2)}
+    return {"median": round(med, digits), "q1": round(q1, digits),
+            "q3": round(q3, digits)}
 
 
 def main(argv=None) -> int:
@@ -235,6 +251,8 @@ def main(argv=None) -> int:
             entry[name] = _spread([r["timed"][name][0] for r in runs[root]])
             entry[name]["raw_median"] = round(statistics.median(
                 r["timed"][name][1] for r in runs[root]), 2)
+        for name in RATIOS:
+            entry[name] = _spread([r["ratios"][name] for r in runs[root]], 4)
         result["checkouts"].append(entry)
     print(json.dumps(result))
     return 0

@@ -99,7 +99,8 @@ def live_keys(words) -> list[int]:
 # --- generator phases -------------------------------------------------------
 # Every shared-word access is preceded by a bare yield so the schedule
 # explorer can interleave at each one. Real threads run the yield-free
-# copies that tree.py derives from these (see derive.py).
+# copies, and the explorer's lone threads the counted copies, that tree.py
+# derives from these (see derive.py).
 
 
 def begin(tree, grand, key: int):

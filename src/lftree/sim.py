@@ -20,22 +20,45 @@ loop, `_drain`, which ticks the clock before every step just as repeated
 A Clock counts scheduler steps; operation wrappers stamp their records with
 it, giving small-model histories integer timestamps the history checker can
 consume directly.
+
+The solo stretch. While `_drain` runs a thread, no other thread steps until
+it finishes, so its scheduling points choose nothing; `_drain` marks its
+clock `solo` with the generator it runs. An `op_thread` that finds itself
+so marked at an op boundary runs each remaining op through the counted
+copies of the cores (derive.py): yield-free, with each scheduling point
+one tick of the process-wide `derive.STEPS`. It stamps t1, runs the op,
+advances the clock by the counter's delta and stamps t2. That is exact. A generator takes one tick per resume, and the resume that ends
+op k also starts op k+1 and runs it up to its first yield; the counted
+copy runs that first stretch with no tick, then ticks once per later
+yield, just as each later resume would. So t1 and t2, every shared read,
+CAS and allocation in order, the records, `tree.stats` and the total ticks
+(`_drain`'s return value, and `run_seeded`'s drained picks) all match the
+stepped run. The clock advances in a `finally`, so an op that raises
+leaves the count a stepped run leaves. A thread drained mid-op finishes
+that op by stepping its generator. An op thread that another generator
+steps, and every generator that is not an op thread, such as a
+scenario's, is always stepped.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from bisect import bisect_right
 from typing import Callable, NamedTuple, Optional
 
+from . import tree as _tree
+from .derive import STEPS
+from .keyspace import _exact_int, encode
 from .verify import INSERT, REMOVE, SEARCH, OpRecord
 
 
 class Clock:
-    __slots__ = ("t",)
+    __slots__ = ("t", "solo")
 
     def __init__(self):
         self.t = 0
+        self.solo = None  # the generator `_drain` runs alone on this clock
 
 
 class SimThread:
@@ -47,7 +70,14 @@ class SimThread:
         self.result = None
 
 
+def _refuse_finished(thread: SimThread, what: str) -> None:
+    if thread.done:
+        raise ValueError(f"{what}: the thread has finished "
+                         f"(result {thread.result!r})")
+
+
 def step(thread: SimThread, clock: Optional[Clock] = None) -> None:
+    _refuse_finished(thread, "step")
     if clock is not None:
         clock.t += 1
     try:
@@ -59,11 +89,14 @@ def step(thread: SimThread, clock: Optional[Clock] = None) -> None:
 
 def _drain(thread: SimThread, clock: Optional[Clock] = None) -> int:
     """Run a thread to completion, ticking the clock before every step as
-    `step` does. Returns the number of steps taken."""
+    `step` does, with the clock marked solo for it. Returns the number of
+    steps taken."""
+    _refuse_finished(thread, "_drain")
     if clock is None:
         clock = Clock()
     t0 = clock.t
     gen = thread.gen
+    outer, clock.solo = clock.solo, gen
     try:
         while True:
             clock.t += 1
@@ -71,6 +104,8 @@ def _drain(thread: SimThread, clock: Optional[Clock] = None) -> int:
     except StopIteration as stop:
         thread.done = True
         thread.result = stop.value
+    finally:
+        clock.solo = outer
     return clock.t - t0
 
 
@@ -184,8 +219,10 @@ def explore(setup, check=None, bound: Optional[int] = None) -> ExploreReport:
     indices chosen at the branch points, which replays the run exactly.
     The search is depth first, lowest thread index first.
     """
-    if bound is not None and bound < 0:
-        raise ValueError(f"explore: bound must be >= 0, got {bound}")
+    if bound is not None:
+        _exact_int("explore: bound", bound)
+        if bound < 0:
+            raise ValueError(f"explore: bound must be >= 0, got {bound}")
     failures = []
     count = 0
     stack: list[tuple[int, ...]] = [()]
@@ -206,6 +243,7 @@ def run_seeded(setup, check=None, seed: int = 0,
     pick, the last thread's drained steps included, so a failure replays
     without the rng.
     """
+    _exact_int("run_seeded: runs", runs)
     if runs < 1:
         raise ValueError(f"run_seeded: runs must be >= 1, got {runs}")
     rng = random.Random(seed)
@@ -220,19 +258,46 @@ def run_seeded(setup, check=None, seed: int = 0,
 
 def op_thread(tree, clock: Clock, tid: int, ops, out: list):
     """Generator running a list of (kind, e1, e2) ops against the tree,
-    appending clock-stamped records to `out`."""
-    new = tuple.__new__  # an OpRecord, minus its Python-level __new__
+    appending clock-stamped records to `out`. At an op boundary where
+    `_drain` runs it alone, it runs the op through the counted cores (see
+    the module docstring)."""
+    # me[0]() is the generator itself, which `_drain` marks the clock with
+    # while it runs it alone. Held weakly, an op thread dropped unstarted is
+    # freed at once rather than by the cycle collector.
+    me = []
+    gen = _op_runner(tree, clock, tid, ops, out, me)
+    me.append(weakref.ref(gen))
+    return gen
 
-    def runner():
-        for kind, e1, e2 in ops:
-            t1 = clock.t
-            if kind == SEARCH:
-                r = yield from tree.search_gen(e1, e2)
-            elif kind == REMOVE:
-                r = yield from tree.remove_gen(e1, e2)
-            elif kind == INSERT:
-                r = 1 if (yield from tree.insert_gen(e1)) else 0
-            else:
-                raise ValueError(f"unknown op kind: {kind!r}")
-            out.append(new(OpRecord, (tid, kind, e1, e2, t1, clock.t, r)))
-    return runner()
+
+def _op_runner(tree, clock, tid, ops, out, me):
+    new = tuple.__new__  # an OpRecord, minus its Python-level __new__
+    for kind, e1, e2 in ops:
+        t1 = clock.t
+        if clock.solo is me[0]():
+            n0 = STEPS.n
+            try:
+                r = _counted_op(tree, kind, e1, e2)
+            finally:
+                clock.t += STEPS.n - n0
+        elif kind == SEARCH:
+            r = yield from tree.search_gen(e1, e2)
+        elif kind == REMOVE:
+            r = yield from tree.remove_gen(e1, e2)
+        elif kind == INSERT:
+            r = 1 if (yield from tree.insert_gen(e1)) else 0
+        else:
+            raise ValueError(f"unknown op kind: {kind!r}")
+        out.append(new(OpRecord, (tid, kind, e1, e2, t1, clock.t, r)))
+
+
+def _counted_op(tree, kind, e1, e2) -> int:
+    """One op through the counted cores, as `search_gen`, `remove_gen` or
+    `insert_gen` would run it, its result as op_thread records it."""
+    if kind == SEARCH:
+        return _tree._counted._search(tree, *_tree._range_args(e1, e2))
+    if kind == REMOVE:
+        return _tree._counted._remove(tree, *_tree._range_args(e1, e2))
+    if kind == INSERT:
+        return 1 if _tree._counted._insert(tree, encode(e1)) else 0
+    raise ValueError(f"unknown op kind: {kind!r}")

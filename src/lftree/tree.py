@@ -6,15 +6,18 @@ internal node, so every leaf has a parent and a grandparent and height
 changes are a single link swing at the root.
 
 Operations are written as generator cores that yield before every shared
-word access. The schedule explorer (sim.py) drives them step by step to
-enumerate interleavings; the public methods run copies derived from the
-same source with the yields compiled out (derive.py), since real threads
-are preempted by the interpreter anyway; a copied slot loop that uses its
-index only to read the slot iterates the word list instead (_find), with
-the same reads in the same order. Semantics are the interval-set
-contracts checked by verify.py: a search/remove over [e1, e2] returns the
-smallest key that was continuously present, or some key that was present
-at some point during the call; 0 means no key was continuously present.
+word access, and run in three forms derived from that one source
+(derive.py). The schedule explorer (sim.py) drives the generators step by
+step to enumerate interleavings. The public methods run copies with the
+yields compiled out, since real threads are preempted by the interpreter
+anyway; a copied slot loop that uses its index only to read the slot
+iterates the word list instead (_find), with the same reads in the same
+order. Where the explorer runs a thread alone, it runs counted copies, in
+which each yield ticks a step counter instead. Semantics are the
+interval-set contracts checked by verify.py: a search/remove over [e1, e2]
+returns the smallest key that was continuously present, or some key that
+was present at some point during the call; 0 means no key was
+continuously present.
 
 A leaf's D slots are unsorted, so every operation reads all of them,
 with a scan of its own: a search wants only the smallest key in range
@@ -38,7 +41,7 @@ from typing import Optional
 
 from . import rebalance as rb
 from .cells import cas
-from .derive import yield_free
+from .derive import copies
 from .keyspace import (DEAD, EMPTY, MAX_KEY, MIN_KEY, PAYLOAD_MASK, RO_BIT,
                        encode)
 from .nodes import (FROZEN, IDLE, InternalNode, LeafNode, TreeConfig,
@@ -214,8 +217,8 @@ class LeafTree:
 
 
 # -- generator cores ---------------------------------------------------------
-# Module-level so that derive.yield_free can re-compile them, calls between
-# them included, into the yield-free copies the public methods run.
+# Module-level so that derive.copies can re-compile them, calls between
+# them included, into the yield-free and counted copies.
 
 
 def _search(tree, e1, e2):
@@ -399,9 +402,10 @@ def _reject_range(e1, e2):
     raise ValueError(f"empty range: [{e1}, {e2}]")
 
 
-# Real threads run yield-free copies of the cores; the explorer drives the
-# generators above. Both come from this one source.
-_direct = yield_free(sys.modules[__name__], rb=yield_free(rb))
+# Three forms of the cores come from this one source: real threads run the
+# yield-free copies; the explorer steps the generators above, and runs the
+# counted copies where a thread runs alone (sim.py).
+_direct, _counted = copies(sys.modules[__name__], rb=copies(rb))
 _search_direct = _direct._search
 _remove_direct = _direct._remove
 _insert_direct = _direct._insert

@@ -10,7 +10,7 @@ import pytest
 from lftree import rebalance as rb
 from lftree import sim
 from lftree import tree as tree_mod
-from lftree.derive import yield_free
+from lftree.derive import STEPS, copies
 from lftree.harness import RunConfig, make_ops
 from lftree.tree import LeafTree
 from lftree.verify import REMOVE, SEARCH
@@ -56,20 +56,29 @@ def test_public_methods_match_the_generator_cores(shape):
 
 
 def test_derived_cores_are_plain_functions():
-    direct = tree_mod._direct
+    direct, counted = tree_mod._direct, tree_mod._counted
     for name in ("_search", "_remove", "_insert", "_descend", "_scan",
                  "_find", "_probe"):
         assert inspect.isgeneratorfunction(getattr(tree_mod, name))
         assert not inspect.isgeneratorfunction(getattr(direct, name))
-    direct_rb = direct.rb
-    assert direct_rb is not rb
+        assert not inspect.isgeneratorfunction(getattr(counted, name))
+    direct_rb, counted_rb = direct.rb, counted.rb
+    assert len({id(rb), id(direct_rb), id(counted_rb)}) == 3
     for name in ("trigger", "execute", "freeze_leaf", "freeze_internal",
                  "_build_plan", "_plan_leaf", "_links"):
         assert inspect.isgeneratorfunction(getattr(rb, name))
         assert not inspect.isgeneratorfunction(getattr(direct_rb, name))
+        assert not inspect.isgeneratorfunction(getattr(counted_rb, name))
     # everything that is not a generator is shared, not copied
-    assert direct_rb.RebalanceStats is rb.RebalanceStats
-    assert direct_rb.live_keys is rb.live_keys
+    for copy in (direct_rb, counted_rb):
+        assert copy.RebalanceStats is rb.RebalanceStats
+        assert copy.live_keys is rb.live_keys
+    # the counted copies tick one counter; the yield-free ones none
+    assert counted._steps is counted_rb._steps is STEPS
+    assert "_steps" not in direct.__dict__
+    assert "_steps" not in direct_rb.__dict__
+    # the slot-loop rule does not fire in a counted copy
+    assert "range" in counted._find.__code__.co_names
     # a scan that needs no slot index iterates its word list; the others
     # keep their index loop
     for fn in (direct._find, direct_rb._links):
@@ -102,9 +111,43 @@ def test_yield_free_drops_yields_and_unwraps_delegation(tmp_path):
         "def plain(x):\n"
         "    return x\n"))
     assert sim.run(mod.outer(3)) == 40
-    derived = yield_free(mod)
+    derived = copies(mod)[0]
     assert derived.outer(3) == 40
     assert derived.plain is mod.plain
+
+
+def test_counted_copies_tick_once_per_yield(tmp_path):
+    mod = _module(tmp_path, "counted", (
+        "def inner(x):\n"
+        "    yield\n"
+        "    return x + 1\n"
+        "\n"
+        "def outer(x):\n"
+        "    while x < 40:\n"
+        "        yield\n"
+        "        x = yield from inner(x)\n"
+        "    return x\n"
+        "\n"
+        "def total(xs):\n"
+        "    s = 0\n"
+        "    for i in range(len(xs)):\n"
+        "        yield\n"
+        "        w = xs[i]\n"
+        "        s += w\n"
+        "    return s\n"))
+    direct, counted = copies(mod)
+    for name, arg in (("outer", 3), ("total", [3, 1, 4, 0, 5])):
+        thread = sim.SimThread(getattr(mod, name)(arg))
+        steps = sim._drain(thread)  # one resume more than it has yields
+        n0 = STEPS.n
+        assert getattr(counted, name)(arg) == thread.result
+        assert STEPS.n - n0 == steps - 1
+        n0 = STEPS.n
+        assert getattr(direct, name)(arg) == thread.result
+        assert STEPS.n == n0
+    # the yield-free copy made from the counted form still iterates
+    assert "range" not in direct.total.__code__.co_names
+    assert "range" in counted.total.__code__.co_names
 
 
 def test_yield_free_refuses_a_yield_that_carries_a_value(tmp_path):
@@ -113,7 +156,7 @@ def test_yield_free_refuses_a_yield_that_carries_a_value(tmp_path):
         "    got = yield 5\n"
         "    return got\n"))
     with pytest.raises(SyntaxError, match="no yield-free form"):
-        yield_free(mod)
+        copies(mod)
 
 
 # Slot loops: only the first derives to an iteration. The others use the
@@ -174,7 +217,7 @@ _LOOPS = (
 def test_slot_loops_iterate_only_when_the_index_is_unused(tmp_path, name,
                                                           args, iterates):
     mod = _module(tmp_path, "loops", _LOOPS)
-    derived = getattr(yield_free(mod), name)
+    derived = getattr(copies(mod)[0], name)
     assert derived(*args) == sim.run(getattr(mod, name)(*args))
     names = derived.__code__.co_names
     assert ("range" in names, "len" in names) == (not iterates,) * 2

@@ -1,5 +1,5 @@
 """scripts/layer_bench.py: the explore-small pass it times keeps its step
-structure."""
+structure, and the leaf pass reports every figure and ratio."""
 
 import importlib.util
 import os
@@ -8,13 +8,29 @@ SCRIPT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts", "layer_bench.py")
 
 
-def test_explorer_pass_is_pinned():
+def _bench():
     spec = importlib.util.spec_from_file_location("layer_bench", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_explorer_pass_is_pinned():
+    bench = _bench()
     figures, steps, schedules = bench.explore_figures(bench.calibrated())
     assert schedules == 15_360
     assert steps == 1_664_189  # 108.3456 clock steps per schedule
     assert set(figures) == set(bench.EXPLORE_FIGURES)
     for name, (calibrated, raw) in figures.items():
         assert calibrated > 0 and raw > 0, name
+
+
+def test_leaf_pass_reports_ratios_to_scan():
+    bench = _bench()
+    figures, ratios = bench.leaf_figures(bench.calibrated())
+    assert set(figures) == set(bench.LEAF_FIGURES)
+    for name, (calibrated, raw) in figures.items():
+        assert calibrated > 0 and raw > 0, name
+    assert set(ratios) == set(bench.RATIOS)
+    for name, ratio in ratios.items():
+        assert ratio > 0, name

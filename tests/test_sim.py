@@ -1,9 +1,11 @@
 """Scheduler mechanics: step accounting, exhaustive enumeration counts,
 bound/drain behavior, seeded replay, and operation record stamping."""
 
+import gc
 import hashlib
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import reference
 from lftree import sim
+from lftree.derive import STEPS
 from lftree.keyspace import RO_BIT
 from lftree.nodes import PREP, TreeConfig
 from lftree.tree import LeafTree
@@ -55,6 +58,20 @@ def test_run_until_stops_at_predicate():
     th = sim.SimThread(chatty(9, log, 0))
     taken = sim.run_until(th, lambda: len(log) >= 4)
     assert taken == 4 and not th.done
+
+
+def test_a_finished_thread_is_not_stepped_again():
+    def once():
+        yield
+        return 7
+
+    for advance in (sim.step, sim._drain):
+        clock = sim.Clock()
+        th = sim.SimThread(once())
+        assert sim._drain(th, clock) == 2
+        with pytest.raises(ValueError, match="thread has finished"):
+            advance(th, clock)
+        assert (th.done, th.result, clock.t) == (True, 7, 2)
 
 
 def test_run_until_gives_up_at_limit():
@@ -176,8 +193,11 @@ def test_explore_is_deterministic():
 
 
 def test_explore_rejects_a_negative_bound():
-    with pytest.raises(ValueError, match="bound must be >= 0"):
-        sim.explore(two_thread_setup(1, 1), bound=-1)
+    for bound, match in ((-1, "bound must be >= 0"),
+                         (True, "bound must be an int, not bool"),
+                         (1.5, "bound must be an int, not float")):
+        with pytest.raises(ValueError, match=match):
+            sim.explore(two_thread_setup(1, 1), bound=bound)
 
 
 def test_explore_sets_up_once_per_schedule():
@@ -245,8 +265,10 @@ def test_explore_matches_the_replay_reference(case):
 
 
 def test_run_seeded_rejects_fewer_than_one_run():
-    for runs in (0, -3):
-        with pytest.raises(ValueError, match="runs must be >= 1"):
+    for runs, match in ((0, "runs must be >= 1"), (-3, "runs must be >= 1"),
+                        (2.5, "runs must be an int, not float"),
+                        (True, "runs must be an int, not bool")):
+        with pytest.raises(ValueError, match=match):
             sim.run_seeded(two_thread_setup(1, 1), runs=runs)
 
 
@@ -395,6 +417,24 @@ def test_op_thread_rejects_unknown_kind():
     gen = sim.op_thread(tree, sim.Clock(), 0, [("DROP", 1, 1)], [])
     with pytest.raises(ValueError, match="unknown op kind"):
         sim.run(gen)
+    # drained alone on its own clock, it refuses the op on the counted path
+    clock = sim.Clock()
+    th = sim.SimThread(sim.op_thread(tree, clock, 0, [("DROP", 1, 1)], []))
+    with pytest.raises(ValueError, match="unknown op kind"):
+        sim._drain(th, clock)
+    assert clock.t == 1
+
+
+def test_an_unstarted_op_thread_is_freed_when_dropped():
+    gc.disable()
+    try:
+        gen = sim.op_thread(LeafTree(_SMALL), sim.Clock(), 0,
+                            [(INSERT, 1, 1)], [])
+        ref = weakref.ref(gen)
+        del gen
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # --- the explorer's output, pinned ----------------------------------------
@@ -508,3 +548,152 @@ def test_round_robin_on_tree_operations_is_pinned():
 
     assert digest.hexdigest() == (
         "1b68a2c50325d763303722f9f04975c40cbb763d31f40786c76c017d7cb54b90")
+
+
+# --- the solo stretch: a lone op thread runs the counted cores ------------
+
+
+@st.composite
+def solo_cases(draw):
+    """A small tree shape, 2-3 op threads of 1-6 ops, an optional prestate
+    of inserts, and the picks of the steps to take before draining."""
+    config = draw(st.sampled_from([TreeConfig(3, 4, 2), TreeConfig(3, 5, 2),
+                                   TreeConfig(5, 6, 3), TreeConfig(5, 4, 2)]))
+    keys = st.integers(1, 12)
+
+    def op():
+        kind = draw(st.sampled_from([SEARCH, INSERT, REMOVE]))
+        e1 = draw(keys)
+        e2 = e1 if kind == INSERT else draw(st.integers(e1, 12))
+        return kind, e1, e2
+
+    workloads = [[op() for _ in range(draw(st.integers(1, 6)))]
+                 for _ in range(draw(st.integers(2, 3)))]
+    prestate = draw(st.lists(keys, max_size=6, unique=True))
+    picks = draw(st.lists(st.integers(0, 2), max_size=60))
+    return config, workloads, prestate, picks
+
+
+def _solo_run(config, workloads, prestate, picks, drain):
+    """Run the prestate, then step each pick's thread among the live
+    ones, then finish every live thread in order: by `drain`, or by
+    stepping alone."""
+    tree = LeafTree(config)
+    clock = sim.Clock()
+    records = []
+    drained = []
+
+    def finish(th):
+        if drain:
+            drained.append(sim._drain(th, clock))
+            return
+        n = 0
+        while not th.done:
+            sim.step(th, clock)
+            n += 1
+        drained.append(n)
+
+    if prestate:
+        finish(sim.SimThread(sim.op_thread(
+            tree, clock, len(workloads), [(INSERT, k, k) for k in prestate],
+            records)))
+    threads = [sim.SimThread(sim.op_thread(tree, clock, tid, ops, records))
+               for tid, ops in enumerate(workloads)]
+    for p in picks:
+        alive = [th for th in threads if not th.done]
+        if not alive:
+            break
+        sim.step(alive[p % len(alive)], clock)
+    for th in threads:
+        if not th.done:
+            finish(th)
+    return (records, clock.t, drained, tree.snapshot(),
+            tree.check_structure(), tree.stats.snapshot())
+
+
+@settings(max_examples=150, deadline=None)
+@given(solo_cases())
+def test_a_drained_op_thread_matches_its_stepped_run(case):
+    assert _solo_run(*case, drain=True) == _solo_run(*case, drain=False)
+
+
+def test_a_lone_prestate_runs_the_counted_cores():
+    # explore-small's split-forcing prestate takes 88 clock steps. Run
+    # alone, it runs counted from its first resume: the counter ticks at
+    # every yield, 87, and the 88th step is that first resume. Stepped, the
+    # counter does not move.
+    pre = (10, 20, 30, 40, 50)
+    n0 = STEPS.n
+    clock = sim.Clock()
+    _pair_setup(pre, (), ())(clock)
+    assert clock.t == 88
+    assert STEPS.n - n0 == 87
+
+    clock = sim.Clock()
+    th = sim.SimThread(sim.op_thread(LeafTree(_SMALL), clock, 2,
+                                     [(INSERT, k, k) for k in pre], []))
+    n0 = STEPS.n
+    while not th.done:
+        sim.step(th, clock)
+    assert (clock.t, STEPS.n - n0) == (88, 0)
+
+
+def test_op_threads_stepped_by_a_drained_generator_are_stepped():
+    # The clock is marked solo for the generator being drained, not for
+    # the op threads it steps in turn: they do not run alone.
+    def run(finish):
+        tree = LeafTree(_SMALL)
+        clock = sim.Clock()
+        records = []
+        threads = [sim.SimThread(sim.op_thread(
+            tree, clock, tid, [(INSERT, k, k) for k in keys], records))
+            for tid, keys in enumerate(((10, 30, 50), (20, 40, 60)))]
+
+        def conductor():
+            while not all(th.done for th in threads):
+                for th in threads:
+                    if not th.done:
+                        sim.step(th, clock)
+                yield
+
+        finish(sim.SimThread(conductor()), clock)
+        return records, clock.t
+
+    def stepped(th, clock):
+        while not th.done:
+            sim.step(th, clock)
+
+    n0 = STEPS.n
+    records, t = run(sim._drain)
+    assert STEPS.n == n0
+    assert (records, t) == run(stepped)
+    assert [r.tid for r in records] != sorted(r.tid for r in records)
+
+
+class _RefusingLock:
+    def acquire(self):
+        raise RuntimeError("refused")
+
+
+def test_an_op_that_raises_leaves_the_stepped_count():
+    # The fifth insert splits the leaf; its rebalance raises where it
+    # would count the begin, mid-op, many steps into the insert.
+    def run(finish):
+        tree = LeafTree(_SMALL)
+        tree.stats.lock = _RefusingLock()
+        clock = sim.Clock()
+        records = []
+        th = sim.SimThread(sim.op_thread(
+            tree, clock, 0, [(INSERT, k, k) for k in (10, 20, 30, 40, 50)],
+            records))
+        with pytest.raises(RuntimeError, match="refused"):
+            finish(th, clock)
+        return clock.t, records
+
+    def stepped(th, clock):
+        while True:
+            sim.step(th, clock)
+
+    t, records = run(sim._drain)
+    assert len(records) == 4 and t > records[-1].t2
+    assert (t, records) == run(stepped)
