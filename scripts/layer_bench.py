@@ -14,17 +14,26 @@ script, so every checkout is timed by the same harness. One process:
   search range of width up to 256 around one of its keys, and REPS times
   in turn times the yield-free leaf scans over all pairs (`_find` for
   search, `_probe` for insert at the range's lower end, `_scan` for
-  remove) and `cells.cas` over every slot of those leaves, each CAS a
-  success that writes back the value it found;
+  remove), then `cells.cas` over every slot of those leaves, each CAS a
+  success that writes back the value it found. The CAS loop runs leaf by
+  leaf, each leaf's CASes timed right after a `_scan` of the same leaf;
 - explores explore-small's 60 pairs at step bound 8 (15,360 schedules) and
   checks every schedule with check_history, check_structure and
-  snapshot_consistent, as explore-small does.
+  snapshot_consistent, as explore-small does;
+- drives churn-k4's two op lists of seed 1, round 0 round robin over two
+  op threads on one K=D=4, S=2 tree (5,000 records, no violation) and
+  REPS times checks that history with check_history.
 
-Every timed piece, one leaf loop or one explored pair, is scaled by the
-calibration kernel run right after it (perfbench/calibrate.py). Figures:
+Every timed piece, one leaf loop, one explored pair or one check of the
+large history, is scaled by the calibration kernel run right after it
+(perfbench/calibrate.py). Figures:
 
   _find/_probe/_scan_ns_per_slot  ns per slot read (median over REPS)
   cas_ns_per_call      ns per successful cas (median over REPS)
+  churn_check_us_per_record
+                       check_history per record of the large history
+                       (median over REPS); check_history_us below is the
+                       explorer's tiny histories (~8.5 records)
   ns_per_step          explore time outside setup and check, per step
                        taken there (the prestate's steps are setup's)
   setup_us             setup per schedule: tree, prestate, generators
@@ -34,17 +43,21 @@ calibration kernel run right after it (perfbench/calibrate.py). Figures:
   schedule_us          the whole explore time per schedule
   steps_per_schedule   clock steps per schedule, read from the clock at the
                        check (the prestate's steps included); not timed
-  _find/_probe/cas_over_scan
+  _find/_probe_over_scan
                        the raw figure over the raw `_scan_ns_per_slot` of
                        the same rep (median over REPS): loops timed
                        milliseconds apart, so most of the machine's drift
                        between passes drops out
+  cas_over_scan        the raw `cas_ns_per_call` over the raw ns per slot
+                       of the `_scan` calls timed beside it, leaf by leaf,
+                       in the same rep (median over REPS): both loops see
+                       the same stretch of machine time
 
 Prints one JSON line: per checkout, its commit, the schedules per pass, for
 each timed figure the median and quartiles over the passes of its
 calibrated value with the median of its raw value beside them, and for each
 ratio its median and quartiles over the passes. Exits 1 when an explored
-schedule fails its check.
+schedule or the large history fails its check.
 """
 
 from __future__ import annotations
@@ -68,12 +81,14 @@ REPS = 41
 SEED = 1
 LEAF_FIGURES = ("_find_ns_per_slot", "_probe_ns_per_slot",
                 "_scan_ns_per_slot", "cas_ns_per_call")
-# ratio -> the leaf figure it puts over `_scan_ns_per_slot`
+# ratio -> the leaf figure it puts over `_scan_ns_per_slot` (cas_over_scan:
+# over the scans timed beside the CASes)
 RATIOS = {"_find_over_scan": "_find_ns_per_slot",
           "_probe_over_scan": "_probe_ns_per_slot",
           "cas_over_scan": "cas_ns_per_call"}
 EXPLORE_FIGURES = ("ns_per_step", "setup_us", "check_history_us",
                    "check_structure_us", "snapshot_us", "schedule_us")
+HISTORY_FIGURES = ("churn_check_us_per_record",)
 
 
 def calibrated() -> Calibrated:
@@ -100,28 +115,49 @@ def leaf_figures(cal: Calibrated) -> tuple:
         pairs.append((leaf, e1,
                       min(READ_RANGE, e1 + rng.randint(0, READ_WIDTH))))
     slots = sum(len(leaf.slots) for leaf, _, _ in pairs)
-    words = [(leaf.slots, i, w, w) for leaf, _, _ in pairs
-             for i, w in enumerate(leaf.slots)]
+    # each pair with the CAS calls over its leaf's slots
+    writes = [(pair, [(pair[0].slots, i, w, w)
+                      for i, w in enumerate(pair[0].slots)])
+              for pair in pairs]
     direct = tree_mod._direct
+    scan, cas = direct._scan, cells.cas
     # figure -> (function, argument tuples of one rep, units per rep)
     loops = {"_find_ns_per_slot": (direct._find, pairs, slots),
              "_probe_ns_per_slot": (direct._probe,
                                     [(leaf, e1) for leaf, e1, _ in pairs],
                                     slots),
-             "_scan_ns_per_slot": (direct._scan, pairs, slots),
-             "cas_ns_per_call": (cells.cas, words, len(words))}
-    ns = {name: ([], []) for name in loops}
+             "_scan_ns_per_slot": (scan, pairs, slots)}
+    ns = {name: ([], []) for name in LEAF_FIGURES}
+    beside = []  # per rep: ns per slot of the scans timed beside the CASes
+    clock = time.perf_counter_ns
     for _ in range(REPS):
         for name, (fn, calls, units) in loops.items():
-            t0 = time.perf_counter_ns()
+            t0 = clock()
             for call in calls:
                 fn(*call)
-            raw = (time.perf_counter_ns() - t0) / units
+            raw = (clock() - t0) / units
             f = cal.after()
             ns[name][0].append(raw * f)
             ns[name][1].append(raw)
-    scan = ns["_scan_ns_per_slot"][1]
-    ratios = {ratio: statistics.median(x / y for x, y in zip(ns[name][1], scan))
+        scan_ns = cas_ns = 0
+        for pair, calls in writes:
+            t0 = clock()
+            scan(*pair)
+            t1 = clock()
+            for call in calls:
+                cas(*call)
+            t2 = clock()
+            scan_ns += t1 - t0
+            cas_ns += t2 - t1
+        raw = cas_ns / slots
+        f = cal.after()
+        ns["cas_ns_per_call"][0].append(raw * f)
+        ns["cas_ns_per_call"][1].append(raw)
+        beside.append(scan_ns / slots)
+    base = dict.fromkeys(RATIOS, ns["_scan_ns_per_slot"][1])
+    base["cas_over_scan"] = beside
+    ratios = {ratio: statistics.median(x / y for x, y in zip(ns[name][1],
+                                                             base[ratio]))
               for ratio, name in RATIOS.items()}
     return ({name: (statistics.median(c), statistics.median(r))
              for name, (c, r) in ns.items()}, ratios)
@@ -185,6 +221,42 @@ def explore_figures(cal: Calibrated) -> tuple:
              for name, (c, r) in sums.items()}, steps, schedules)
 
 
+def churn_history() -> list:
+    """churn-k4's two op lists of seed 1, round 0, round robin over two op
+    threads on one K=D=4, S=2 tree: the records."""
+    from lftree import LeafTree, TreeConfig, harness, sim
+    from workloads import churn_config
+
+    cfg = churn_config(1, 0)
+    tree = LeafTree(TreeConfig(4, 4, 2))
+    clock = sim.Clock()
+    records = []
+    sim.run_round_robin([sim.op_thread(tree, clock, tid,
+                                       harness.make_ops(cfg, tid), records)
+                         for tid in range(2)], clock)
+    return records
+
+
+def history_figures(cal: Calibrated) -> dict:
+    """{figure: (calibrated, raw)} of REPS checks of the large history."""
+    from lftree.verify import check_history
+
+    records = churn_history()
+    us = ([], [])
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        problems = check_history(records)
+        raw = (time.perf_counter() - t0) / len(records) * 1e6
+        f = cal.after()
+        if problems:
+            raise SystemExit(f"the large history fails its check: "
+                             f"{problems[0]}")
+        us[0].append(raw * f)
+        us[1].append(raw)
+    return {"churn_check_us_per_record": (statistics.median(us[0]),
+                                          statistics.median(us[1]))}
+
+
 def one_pass(checkout: str) -> dict:
     """Every figure of one fresh process on the lftree of `checkout`."""
     sys.path.insert(0, os.path.join(checkout, "src"))
@@ -192,6 +264,7 @@ def one_pass(checkout: str) -> dict:
     timed, ratios = leaf_figures(cal)
     explored, steps, schedules = explore_figures(cal)
     timed.update(explored)
+    timed.update(history_figures(cal))
     return {"timed": timed, "ratios": ratios, "steps": steps,
             "schedules": schedules}
 
@@ -247,7 +320,7 @@ def main(argv=None) -> int:
                  "schedules_per_pass": first["schedules"],
                  "steps_per_schedule": round(
                      first["steps"] / first["schedules"], 4)}
-        for name in LEAF_FIGURES + EXPLORE_FIGURES:
+        for name in LEAF_FIGURES + EXPLORE_FIGURES + HISTORY_FIGURES:
             entry[name] = _spread([r["timed"][name][0] for r in runs[root]])
             entry[name]["raw_median"] = round(statistics.median(
                 r["timed"][name][1] for r in runs[root]), 2)

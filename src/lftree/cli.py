@@ -4,8 +4,9 @@ Subcommands: stress (threaded run + full post-run verification), check
 (re-verify a saved trace), schedules (deterministic interleaving
 scenarios), bench (throughput), selftest (quick battery).
 
-Exit codes: 0 all checks passed, 1 a verification check failed, 2 bad
-usage or configuration, 3 trace file I/O error.
+Exit codes: 0 all checks passed, 1 a verification check failed (for
+check, a history violation or a progress-audit finding), 2 bad usage or
+configuration, 3 trace file I/O error.
 """
 
 from __future__ import annotations
@@ -93,11 +94,13 @@ def cmd_check(args) -> int:
         return 1
     violations = check_history(records)
     print(f"{len(records)} records, {len(violations)} violations")
+    stalls = 0
     if args.window:
-        count, stalls = progress_audit(records, args.window, _MAX_SHOWN)
-        _show("progress audit", stalls, count)
+        stalls, reports = progress_audit(records, args.window, _MAX_SHOWN)
+        _show("progress audit", reports, stalls)
     if violations:
         _show("history violations", violations)
+    if violations or stalls:
         return 1
     print("all checks passed")
     return 0
@@ -213,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify a saved trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--window", type=int, default=0,
-                   help="also audit progress gaps longer than this many ns")
+                   help="also audit progress gaps longer than this many "
+                        "ns; a finding fails the check")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("schedules",

@@ -26,9 +26,15 @@ checker reports is a real contract violation; races it cannot decide pass.
   possibly_present: more successful inserts of e invoked before b than
       removes of e responded before a.
 
-HistoryIndex answers both bounds for one key by bisection over per-key
-tables built in O(n log n) for n records; the range form of
-certainly_present bisects once per inserted key it looks at.
+check_history walks the records once. The loop that sets malformed
+records apart and tests each thread's order also files every successful
+insert and remove under its key. Sorted, those tables give each inserted
+key its certain-presence windows, and the rules read both bounds off them
+by bisection, in O(n log n) for n records. The range form of
+certainly_present bisects once per inserted key it looks at; one walk over
+the keys in range serves a failed search or remove and a remove's
+minimality test alike. HistoryIndex asks those same rules one bound at a
+time.
 
 Removal lifetimes must also pair off: sorting the removes of e by response
 time, the i-th (1-based) needs at least i successful inserts invoked before
@@ -126,8 +132,9 @@ _RESPONSE = itemgetter(1)  # t2 of a (t1, t2) pair
 
 
 def _windows(ins: list, rem: list) -> list:
-    """The certain-presence windows of one key, from its successful inserts
-    `ins` as (t1, t2) and its removes `rem` as sorted (t2, t1).
+    """The certain-presence windows of one key, from its two or more
+    successful inserts `ins` as (t1, t2) and its removes `rem` as sorted
+    (t2, t1).
 
     For an insert I, let held(I) be the earliest invocation among the
     removes that responded after I was invoked (never, if none did): I
@@ -136,12 +143,6 @@ def _windows(ins: list, rem: list) -> list:
     inserts in response order, where the maximum grows, so the key is
     certainly present over (a, b) iff the last window ending by a has
     held >= b."""
-    if len(ins) == 1:  # the common case: held(I) read off directly
-        (it1, it2), = ins
-        if not rem:
-            return [(it2, _NEVER)]
-        return [(it2, min([rt1 for rt2, rt1 in rem if rt2 > it1],
-                          default=_NEVER))]
     if not rem:  # the earliest response holds for good
         return [(min(map(_RESPONSE, ins)), _NEVER)]
     first = [_NEVER]  # reversed: first[j] = earliest invocation in rem[-j:]
@@ -157,78 +158,18 @@ def _windows(ins: list, rem: list) -> list:
     return out
 
 
-class HistoryIndex:
-    """Per-key successful inserts and removes, indexed for the presence
-    bounds, plus the sorted list of inserted keys."""
-
-    def __init__(self, records: Iterable[OpRecord]):
-        # key -> sorted (t1, t2) of its inserts; holds every key, in order
-        # of first appearance, with an empty list if it was never inserted
-        self.ins = ins = {}
-        self.rem = rem = {}  # key -> sorted (t2, t1) of its removes
-        for _, kind, e1, _, t1, t2, result in records:
-            if kind == INSERT:
-                if result == 1:
-                    spans = ins.get(e1)
-                    if spans is None:
-                        ins[e1] = [(t1, t2)]
-                    else:
-                        spans.append((t1, t2))
-            elif kind == REMOVE and result > 0:
-                if result not in ins:
-                    ins[result] = []
-                spans = rem.get(result)
-                if spans is None:
-                    rem[result] = [(t2, t1)]
-                else:
-                    spans.append((t2, t1))
-        for spans in rem.values():
-            spans.sort()
-        self.windows = windows = {}
-        for key, spans in ins.items():
-            if spans:
-                spans.sort()
-                windows[key] = _windows(spans, rem.get(key, ()))
-        self.inserted_keys = sorted(windows)
-
-    def certainly_present(self, e: int, a: int, b: int) -> bool:
-        win = self.windows.get(e)
-        if win is None:
-            return False
-        j = bisect_right(win, (a, _NEVER))
-        return j > 0 and win[j - 1][1] >= b
-
-    def possibly_present(self, e: int, a: int, b: int) -> bool:
-        """More successful inserts of e invoked before b than removes of
-        e responded by a."""
-        started = bisect_left(self.ins.get(e, ()), (b,))
-        finished = bisect_right(self.rem.get(e, ()), (a, _NEVER))
-        return started > finished
-
-    def certain_in_range(self, e1: int, e2: int, a: int, b: int) -> int:
-        """Smallest key in [e1, e2] certainly present over (a, b), else 0:
-        the inserted keys in range in order, each by one bisection."""
-        keys = self.inserted_keys
-        windows = self.windows
-        by_a = (a, _NEVER)
-        for i in range(bisect_left(keys, e1), bisect_right(keys, e2)):
-            win = windows[keys[i]]
-            j = bisect_right(win, by_a)
-            if j and win[j - 1][1] >= b:
-                return keys[i]
-        return 0
-
-
-_INTERVAL = itemgetter(4, 5)   # (t1, t2) of an OpRecord
-
-
-def check_history(records: list[OpRecord]) -> list[Violation]:
-    """Conservative contract check. Empty list = no provable violation.
-    Malformed records are reported as violations, never raised."""
-    out: list[Violation] = []
-    sane: list[OpRecord] = []
-    last: dict[int, int] = {}  # tid -> response of its latest sane record
-    in_order = True  # each thread's records come in time order, disjoint
+def _walk(records: Iterable, out: list) -> tuple:
+    """The one walk over the records. Reports each malformed record to
+    `out` and returns the sane ones; whether each thread's sane records
+    come in time order, disjoint; `ins`, key -> (t1, t2) of its successful
+    inserts, holding every key a successful insert or remove names, in
+    order of first appearance (an empty list if it was never inserted);
+    and `rem`, key -> (t2, t1) of its removes. Neither table is sorted."""
+    sane = []
+    last = {}  # tid -> response of its latest sane record
+    in_order = True
+    ins = {}
+    rem = {}
     for r in records:
         tid, kind, e1, e2, a, b, res = r
         try:
@@ -248,6 +189,137 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
             continue
         sane.append(r)
         last[tid] = b
+        if kind == INSERT:
+            if res:
+                spans = ins.get(e1)
+                if spans is None:
+                    ins[e1] = [(a, b)]
+                else:
+                    spans.append((a, b))
+        elif res and kind == REMOVE:
+            if res not in ins:
+                ins[res] = []
+            spans = rem.get(res)
+            if spans is None:
+                rem[res] = [(b, a)]
+            else:
+                spans.append((b, a))
+    return sane, in_order, ins, rem
+
+
+def _index(ins: dict, rem: dict) -> tuple:
+    """Sorts the tables in place; returns key -> its windows for every
+    inserted key, and the inserted keys in order."""
+    windows = {}
+    for key, spans in ins.items():  # every key of rem is here
+        ends = rem.get(key, ())
+        if ends:
+            ends.sort()
+        if len(spans) == 1:  # the common case: held(I) read off directly
+            (it1, it2), = spans
+            held = _NEVER
+            for rt2, rt1 in ends:
+                if rt2 > it1 and rt1 < held:
+                    held = rt1
+            windows[key] = [(it2, held)]
+        elif spans:
+            spans.sort()
+            windows[key] = _windows(spans, ends)
+    return windows, sorted(windows)
+
+
+# rule -> its detail; {kind} in a rule is the record's kind in lower case,
+# {key} the key the rule names
+_DETAILS = {
+    "insert-over-certain-present": "{key} was present throughout the call",
+    "failed-insert-never-present": "{key} was never there to collide with",
+    "failed-{kind}-certain-match": "{key} was present throughout the call",
+    "result-outside-range": "returned {key}",
+    "{kind}-result-never-present": "{key} could not have been in the tree",
+    "remove-not-minimal": "{key} < {res} was present throughout",
+}
+
+
+def _rules(records: list, ins: dict, rem: dict, windows: dict,
+           keys: list) -> list:
+    """(rule, record, key) for each contract rule a sane record breaks, in
+    record order, read off the sorted tables by bisection. A key is
+    certainly present over (a, b) iff the last of its windows ending by a
+    holds to b or later; possibly present iff more of its inserts were
+    invoked before b than its removes responded by a."""
+    found = []
+    for r in records:
+        _, kind, e1, e2, a, b, res = r
+        if kind == INSERT:
+            if res:
+                win = windows.get(e1, ())
+                j = bisect_right(win, (a, _NEVER))
+                if j and win[j - 1][1] >= b:
+                    found.append(("insert-over-certain-present", r, e1))
+            elif (bisect_left(ins.get(e1, ()), (b,))
+                  <= bisect_right(rem.get(e1, ()), (a, _NEVER))):
+                found.append(("failed-insert-never-present", r, e1))
+            continue
+        # a search and a remove share their rules; a remove must also find
+        # no key below its result that was present throughout the call
+        if res:
+            if not e1 <= res <= e2:
+                found.append(("result-outside-range", r, res))
+                continue
+            if (bisect_left(ins.get(res, ()), (b,))
+                    <= bisect_right(rem.get(res, ()), (a, _NEVER))):
+                found.append(("{kind}-result-never-present", r, res))
+            if res == e1 or kind == SEARCH:
+                continue
+            top, rule = res - 1, "remove-not-minimal"
+        else:
+            top, rule = e2, "failed-{kind}-certain-match"
+        # the smallest inserted key in [e1, top] certainly present
+        by_a = (a, _NEVER)
+        for i in range(bisect_left(keys, e1), bisect_right(keys, top)):
+            win = windows[keys[i]]
+            j = bisect_right(win, by_a)
+            if j and win[j - 1][1] >= b:
+                found.append((rule, r, keys[i]))
+                break
+    return found
+
+
+class HistoryIndex:
+    """check_history's sorted tables of `records`, asked one presence bound
+    at a time: each query runs check_history's rules over one made-up
+    record and reads off what they found."""
+
+    def __init__(self, records: Iterable[OpRecord]):
+        _, _, self.ins, self.rem = _walk(records, [])
+        self.windows, self.keys = _index(self.ins, self.rem)
+
+    def _found(self, *record) -> list:
+        return _rules([record], self.ins, self.rem, self.windows, self.keys)
+
+    def certainly_present(self, e: int, a: int, b: int) -> bool:
+        """A successful insert of e over (a, b) breaks a rule."""
+        return bool(self._found(0, INSERT, e, e, a, b, 1))
+
+    def possibly_present(self, e: int, a: int, b: int) -> bool:
+        """A failed insert of e over (a, b) breaks none."""
+        return not self._found(0, INSERT, e, e, a, b, 0)
+
+    def certain_in_range(self, e1: int, e2: int, a: int, b: int) -> int:
+        """Smallest key in [e1, e2] certainly present over (a, b), else 0:
+        the key a failed search over (a, b) would be faulted for."""
+        found = self._found(0, SEARCH, e1, e2, a, b, 0)
+        return found[0][2] if found else 0
+
+
+_INTERVAL = itemgetter(4, 5)   # (t1, t2) of an OpRecord
+
+
+def check_history(records: list[OpRecord]) -> list[Violation]:
+    """Conservative contract check. Empty list = no provable violation.
+    Malformed records are reported as violations, never raised."""
+    out: list[Violation] = []
+    sane, in_order, ins, rem = _walk(records, out)
 
     if not in_order:  # sort each thread's records and report overlaps
         by_tid: dict[int, list[OpRecord]] = {}
@@ -262,46 +334,13 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
                         f"thread {tid} invoked at {cur.t1} before "
                         f"{prev.kind} responded at {prev.t2}"))
 
-    idx = HistoryIndex(sane)
-
-    for r in sane:
-        _, kind, e1, e2, a, b, res = r
-        if kind == INSERT:
-            if res == 1:
-                if idx.certainly_present(e1, a, b):
-                    out.append(Violation(
-                        "insert-over-certain-present", r,
-                        f"{e1} was present throughout the call"))
-            elif not idx.possibly_present(e1, a, b):
-                out.append(Violation(
-                    "failed-insert-never-present", r,
-                    f"{e1} was never there to collide with"))
-            continue
-        # a search and a remove share their rules; a remove must also find
-        # no key below its result that was present throughout the call
-        if res == 0:
-            hit = idx.certain_in_range(e1, e2, a, b)
-            if hit:
-                out.append(Violation(
-                    f"failed-{kind.lower()}-certain-match", r,
-                    f"{hit} was present throughout the call"))
-        elif not e1 <= res <= e2:
-            out.append(Violation("result-outside-range", r, f"returned {res}"))
-        else:
-            if not idx.possibly_present(res, a, b):
-                out.append(Violation(
-                    f"{kind.lower()}-result-never-present", r,
-                    f"{res} could not have been in the tree"))
-            if kind == REMOVE and res > e1:
-                hit = idx.certain_in_range(e1, res - 1, a, b)
-                if hit:
-                    out.append(Violation(
-                        "remove-not-minimal", r,
-                        f"{hit} < {res} was present throughout"))
+    windows, keys = _index(ins, rem)
+    for rule, r, key in _rules(sane, ins, rem, windows, keys):
+        out.append(Violation(rule.format(kind=r.kind.lower()), r,
+                             _DETAILS[rule].format(key=key, res=r.result)))
 
     # removal lifetimes must pair off with distinct insert lifetimes
-    rem = idx.rem
-    for key, starts in idx.ins.items():
+    for key, starts in ins.items():
         ends = rem.get(key)
         if not ends:
             continue

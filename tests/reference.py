@@ -5,7 +5,7 @@ size policies directly, sharing no code with the package: a second
 interval-set model built on a plain set, the split/merge/redistribute
 arithmetic, a brute-force splitter, a brute-force history feasibility
 check for tiny histories, the presence bounds evaluated straight from
-their definitions, builders that assemble exact tree shapes node by node,
+their definitions and the history checker's rules over them, builders that assemble exact tree shapes node by node,
 a leaf scan read off the word layout, a gap-by-gap starvation screen, a
 schedule enumerator that replays every prefix from scratch, round-robin and
 seeded drivers that take every step one at a time, and the structure check
@@ -21,7 +21,7 @@ from itertools import permutations
 from lftree.keyspace import MAX_KEY, PAYLOAD_MASK, RO_BIT, encode
 from lftree.nodes import IDLE, InternalNode, LeafNode, TreeConfig
 from lftree.tree import LeafTree
-from lftree.verify import INSERT, REMOVE, SEARCH
+from lftree.verify import INSERT, REMOVE, SEARCH, Violation
 
 
 class PlainSetModel:
@@ -152,13 +152,10 @@ def possibly_present(ins, rem, a: int, b: int) -> bool:
 
 
 class ReferenceIndex:
-    """A stand-in for verify.HistoryIndex that groups the records by key
-    itself and answers every presence query by the definitions above, so
-    check_history run over it gives the reference verdicts. It keeps the
-    attributes check_history reads: `ins` (key -> sorted (t1, t2) of its
-    successful inserts, every key in order of first appearance) and `rem`
-    (key -> sorted (t2, t1) of its removes). The rule loop and the
-    remove-unpaired pass over those tables stay check_history's own."""
+    """The records grouped by key, each presence query answered by the
+    definitions above: `ins` (key -> sorted (t1, t2) of its successful
+    inserts, every key a successful insert or remove names, in order of
+    first appearance) and `rem` (key -> sorted (t2, t1) of its removes)."""
 
     def __init__(self, records):
         self.ins, self.rem = {}, {}
@@ -197,6 +194,56 @@ class ReferenceIndex:
                 return self.keys[j]
             j += 1
         return 0
+
+
+def check_history_by_definition(records) -> list:
+    """verify.check_history's violations for well-formed records, in its
+    order: each thread's overlaps, then every record's contract rules as
+    the verify module docstring states them, over ReferenceIndex, then the
+    remove pairing, key by key in order of first appearance."""
+    out = [Violation("overlapping-thread-ops", cur,
+                     f"thread {cur.tid} invoked at {cur.t1} before "
+                     f"{prev.kind} responded at {prev.t2}")
+           for cur, prev in thread_overlaps(records)]
+    idx = ReferenceIndex(records)
+    for r in records:
+        kind, e, a, b = r.kind.lower(), r.result, r.t1, r.t2
+        if r.kind == INSERT:
+            if e == 1 and idx.certainly_present(r.e1, a, b):
+                out.append(Violation("insert-over-certain-present", r,
+                                     f"{r.e1} was present throughout the "
+                                     f"call"))
+            if e == 0 and not idx.possibly_present(r.e1, a, b):
+                out.append(Violation("failed-insert-never-present", r,
+                                     f"{r.e1} was never there to collide "
+                                     f"with"))
+        elif e == 0:
+            hit = idx.certain_in_range(r.e1, r.e2, a, b)
+            if hit:
+                out.append(Violation(f"failed-{kind}-certain-match", r,
+                                     f"{hit} was present throughout the "
+                                     f"call"))
+        elif not r.e1 <= e <= r.e2:
+            out.append(Violation("result-outside-range", r, f"returned {e}"))
+        else:
+            if not idx.possibly_present(e, a, b):
+                out.append(Violation(f"{kind}-result-never-present", r,
+                                     f"{e} could not have been in the tree"))
+            hit = r.kind == REMOVE and idx.certain_in_range(r.e1, e - 1, a, b)
+            if hit:
+                out.append(Violation("remove-not-minimal", r,
+                                     f"{hit} < {e} was present throughout"))
+    # the i-th remove of a key to respond needs i inserts invoked before it
+    for key, spans in idx.ins.items():
+        for i, (rt2, _) in enumerate(idx.rem.get(key, []), 1):
+            available = sum(1 for it1, _ in spans if it1 < rt2)
+            if available < i:
+                out.append(Violation(
+                    "remove-unpaired", None,
+                    f"{i} removes of {key} responded by {rt2} but only "
+                    f"{available} inserts were invoked"))
+                break
+    return out
 
 
 def thread_overlaps(records) -> list:

@@ -74,6 +74,22 @@ def test_check_progress_window(tmp_path, capsys):
     assert "progress audit: 0" in capsys.readouterr().out
 
 
+def test_check_fails_on_progress_audit_findings(tmp_path, capsys):
+    # a 1,000 ns op at a 100 ns window: a slow op and a silent gap, and no
+    # history violation
+    trace = tmp_path / "slow.trace"
+    write_trace(trace, [OpRecord(0, SEARCH, 1, 1, 0, 10, 0),
+                        OpRecord(1, SEARCH, 1, 1, 5, 1005, 0)])
+    assert main(["check", "--trace", str(trace)]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    assert main(["check", "--trace", str(trace), "--window", "100"]) == 1
+    out = capsys.readouterr().out
+    assert "2 records, 0 violations" in out
+    assert "progress audit: 2" in out
+    assert "op ran 1000 > 100" in out
+    assert "all checks passed" not in out
+
+
 @pytest.mark.parametrize("argv", [
     STRESS_SMALL[:1] + ["--threads", "0"],
     ["stress", "--leaf-cap", "32", "--min-size", "20"],

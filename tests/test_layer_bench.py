@@ -1,5 +1,6 @@
 """scripts/layer_bench.py: the explore-small pass it times keeps its step
-structure, and the leaf pass reports every figure and ratio."""
+structure, the leaf pass reports every figure and ratio, and the large
+history is the one its docstring names."""
 
 import importlib.util
 import os
@@ -34,3 +35,14 @@ def test_leaf_pass_reports_ratios_to_scan():
     assert set(ratios) == set(bench.RATIOS)
     for name, ratio in ratios.items():
         assert ratio > 0, name
+
+
+def test_large_history_is_churn_k4s_round_robin():
+    bench = _bench()
+    records = bench.churn_history()
+    assert len(records) == 5000
+    assert {r.tid for r in records} == {0, 1}
+    figures = bench.history_figures(bench.calibrated())
+    assert set(figures) == set(bench.HISTORY_FIGURES)
+    for name, (calibrated, raw) in figures.items():
+        assert calibrated > 0 and raw > 0, name

@@ -1,7 +1,10 @@
 """History checker: rule-by-rule negatives, conservatism on races,
 and a brute-force feasibility cross-check on tiny histories."""
 
+import hashlib
+import os
 import random
+import sys
 import time
 
 import pytest
@@ -398,16 +401,113 @@ def _mutated(recs, rng, count):
     dict(order=32, leaf_capacity=32, min_size=8, key_range=1 << 16),
     dict(order=64, leaf_capacity=64, min_size=16, key_range=1 << 16),
 ])
-def test_check_history_matches_the_reference_index_on_stress_traces(
-        shape, monkeypatch):
+def test_check_history_matches_the_reference_index_on_stress_traces(shape):
     cfg = RunConfig(threads=8, ops_per_thread=1500, seed=5, **shape)
     recs = run_stress(cfg, check=False).records
     bad = _mutated(recs, random.Random(5), 400)
     got = [[str(v) for v in check_history(h)] for h in (recs, bad)]
-    monkeypatch.setattr(verify, "HistoryIndex", ReferenceIndex)
-    want = [[str(v) for v in check_history(h)] for h in (recs, bad)]
+    want = [[str(v) for v in reference.check_history_by_definition(h)]
+            for h in (recs, bad)]
     assert got == want
     assert got[0] == [] and len(got[1]) > 100
+
+
+# --- explored and churn histories: the definitions, and a pinned output ---
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def _workloads():
+    if PERFBENCH not in sys.path:
+        sys.path.insert(0, PERFBENCH)
+    import workloads
+    return workloads
+
+
+def _altered(recs, rng):
+    """One field of a tenth of the records (at least one) moved a little,
+    or its kind redrawn: malformed rows, thread overlaps and contract
+    violations, mixed."""
+    out = list(recs)
+    for i in rng.sample(range(len(out)), max(1, len(out) // 10)):
+        fields = list(out[i])
+        f = rng.randrange(7)
+        if f == 1:
+            fields[1] = rng.choice((SEARCH, REMOVE, INSERT))
+        else:
+            fields[f] += rng.choice((-2, -1, 1, 2))
+        out[i] = OpRecord(*fields)
+    return out
+
+
+def _explored_histories(pairs, bound):
+    """The record list of every schedule explore checks, in order."""
+    wl = _workloads()
+    out = []
+    for pair in pairs:
+        def setup(clock, pair=pair):
+            _, records, gens = wl._opening(clock, *pair)
+            return records, gens
+
+        def check(records, threads, schedule):
+            out.append(list(records))
+            return []
+        sim.explore(setup, check, bound=bound)
+    return out
+
+
+def _churn_history():
+    """churn-k4's two op lists of seed 1, round 0, round robin over one
+    K=D=4, S=2 tree: 5,000 records, the large history
+    scripts/layer_bench.py times."""
+    cfg = _workloads().churn_config(1, 0)
+    tree = LeafTree(TreeConfig(4, 4, 2))
+    clock = sim.Clock()
+    records = []
+    sim.run_round_robin([sim.op_thread(tree, clock, tid, make_ops(cfg, tid),
+                                       records) for tid in range(2)], clock)
+    return records
+
+
+def test_check_history_matches_the_definitions_on_explored_histories():
+    # every schedule of 6 criterion-8 pairs, as run and with one result
+    # flipped: tiny histories where most keys have one insert
+    wl = _workloads()
+    rng = random.Random(8)
+    flagged = 0
+    for h in _explored_histories(wl.explore_pairs()[:6], wl.EXPLORE_BOUND):
+        for hist in (h, _mutated(h, rng, 1)):
+            got = [str(v) for v in check_history(hist)]
+            assert got == [str(v) for v in
+                           reference.check_history_by_definition(hist)]
+            flagged += bool(got)
+    assert flagged > 300
+
+
+def test_check_history_output_is_pinned():
+    # sha256 over every violation's text, history by history: explore-small's
+    # first 10 pairs, every schedule's history clean and altered, then three
+    # mutated copies of one churn-k4 history. Taken before the checker
+    # became one walk over the records; it pins the order and the text.
+    wl = _workloads()
+    rng = random.Random(19)
+    corpus = []
+    for h in _explored_histories(wl.explore_pairs()[:10], wl.EXPLORE_BOUND):
+        corpus += [h, _altered(h, rng)]
+    big = _churn_history()
+    assert len(big) == 5000 and check_history(big) == []
+    corpus += [_altered(_mutated(big, rng, 300), rng) for _ in range(3)]
+    digest = hashlib.sha256()
+    found = 0
+    for h in corpus:
+        for v in check_history(h):
+            digest.update(str(v).encode() + b"\n")
+            found += 1
+        digest.update(b"--\n")
+    assert (len(corpus), found) == (5123, 4869)  # every rule reached
+    assert digest.hexdigest() == (
+        "b5c5e256be7b5e3ae3dce62a0d91428900ff7e0f768861c9080a870e85f9a8c9")
 
 
 # --- snapshot reconciliation --------------------------------------------
