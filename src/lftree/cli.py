@@ -17,7 +17,7 @@ import time
 
 from . import harness, scenarios
 from .nodes import TreeConfig
-from .tree import LeafTree
+from .tree import LeafTree, _op_direct
 from .verify import (SetOracle, TraceError, check_history, progress_audit,
                      read_trace, write_trace)
 
@@ -170,7 +170,7 @@ def cmd_selftest(args) -> int:
                                threads=1, ops_per_thread=3000,
                                key_range=512, seed=11)
     for kind, e1, e2 in harness.make_ops(wl_cfg, 0):
-        got = harness._apply(tree, kind, e1, e2)
+        got = _op_direct(tree, kind, e1, e2)
         want = oracle.apply(kind, e1, e2)
         if got != want:
             print(f"serial mismatch: {kind} [{e1},{e2}] -> {got}, "

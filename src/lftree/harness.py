@@ -7,7 +7,9 @@ final snapshot against the net insert/remove balance, and the structural
 invariants. Workloads are pregenerated so the timed loop does nothing but
 operations and record appends; with a duration set, each thread cycles
 its workload until the deadline. Stress and bench run the same loop
-(`_run`); bench only counts operations instead of recording them.
+(`_run`), each op through the tree's public methods (`_apply`), which
+perfbench's tracer and fault injection wrap; bench only counts
+operations instead of recording them.
 
 Thread 0 runs on the calling thread and threads 1..n-1 beside it; a
 thread that raises fails the run once every thread has joined. A lone
@@ -63,16 +65,21 @@ class RunConfig:
                              f"{self.ops_per_thread}")
         if not 4 <= self.key_range <= MAX_KEY:
             raise ValueError(f"key range not in [4, 2**63-1]: {self.key_range}")
-        if (len(self.mix) != 3 or not all(map(math.isfinite, self.mix))
-                or min(self.mix) < 0 or sum(self.mix) <= 0):
+        mix = self.mix
+        if not (type(mix) in (tuple, list) and len(mix) == 3
+                and all(_real(w) and w >= 0 for w in mix) and sum(mix) > 0):
             raise ValueError(f"mix needs three finite non-negative weights: "
-                             f"{self.mix}")
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise ValueError(f"duration must be finite and >= 0: "
-                             f"{self.duration}")
+                             f"{mix!r}")
+        if not (_real(self.duration) and self.duration >= 0):
+            raise ValueError(f"duration must be a finite number >= 0: "
+                             f"{self.duration!r}")
 
     def tree_config(self) -> TreeConfig:
         return TreeConfig(self.order, self.leaf_capacity, self.min_size)
+
+
+def _real(x) -> bool:  # a finite int or float, not a bool or a string
+    return type(x) in (int, float) and math.isfinite(x)
 
 
 def parse_mix(text: str) -> tuple:
@@ -261,7 +268,9 @@ def _apply(tree: LeafTree, kind: str, e1: int, e2: int) -> int:
         return tree.search(e1, e2)
     if kind == REMOVE:
         return tree.remove(e1, e2)
-    return 1 if tree.insert(e1) else 0
+    if kind == INSERT:
+        return 1 if tree.insert(e1) else 0
+    raise ValueError(f"unknown op kind: {kind!r}")
 
 
 def run_bench(cfg: RunConfig) -> dict:

@@ -57,10 +57,12 @@ def unpack(word: int, value_bits: int) -> tuple[int, int]:
     return p >> value_bits, p & ((1 << value_bits) - 1)
 
 
-def _exact_int(name: str, x) -> None:
+def _exact_int(name: str, x, least=None) -> None:
     if type(x) is not int:
         raise ValueError(f"{name} must be an int, not {type(x).__name__}: "
                          f"{x!r}")
+    if least is not None and x < least:
+        raise ValueError(f"{name} must be >= {least}, got {x}")
 
 
 def _check_bits(value_bits) -> None:

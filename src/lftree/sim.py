@@ -21,17 +21,19 @@ A Clock counts scheduler steps; operation wrappers stamp their records with
 it, giving small-model histories integer timestamps the history checker can
 consume directly.
 
-The solo stretch. While `_drain` runs a thread, no other thread steps until
-it finishes, so its scheduling points choose nothing; `_drain` marks its
-clock `solo` with the generator it runs. An `op_thread` that finds itself
-so marked at an op boundary runs each remaining op through the counted
-copies of the cores (derive.py): yield-free, with each scheduling point
-one tick of the process-wide `derive.STEPS`. It stamps t1, runs the op,
-advances the clock by the counter's delta and stamps t2. That is exact. A generator takes one tick per resume, and the resume that ends
-op k also starts op k+1 and runs it up to its first yield; the counted
-copy runs that first stretch with no tick, then ticks once per later
-yield, just as each later resume would. So t1 and t2, every shared read,
-CAS and allocation in order, the records, `tree.stats` and the total ticks
+The solo stretch. An `op_thread` steps each op's `tree._op` generator,
+as a scenario steps `search_gen`. While `_drain` runs a thread, no other
+thread steps until it finishes, so its scheduling points choose nothing;
+`_drain` marks its clock `solo` with the generator it runs. An
+`op_thread` so marked at an op boundary runs each remaining op through the
+counted copy of `_op` (derive.py): yield-free, each scheduling point one
+tick of the process-wide `derive.STEPS`. It stamps t1, runs the op,
+advances the clock by the counter's delta and stamps t2. That is exact. A
+generator takes one tick per resume, and the resume that ends op k also
+starts op k+1 and runs it up to its first yield; the counted copy runs
+that first stretch with no tick, then ticks once per later yield, just as
+each later resume would. So t1 and t2, every shared read, CAS and
+allocation in order, the records, `tree.stats` and the total ticks
 (`_drain`'s return value, and `run_seeded`'s drained picks) all match the
 stepped run. The clock advances in a `finally`, so an op that raises
 leaves the count a stepped run leaves. A thread drained mid-op finishes
@@ -49,8 +51,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import tree as _tree
 from .derive import STEPS
-from .keyspace import _exact_int, encode
-from .verify import INSERT, REMOVE, SEARCH, OpRecord
+from .keyspace import _exact_int
+from .verify import OpRecord
 
 
 class Clock:
@@ -150,8 +152,9 @@ def run_round_robin(gens, clock: Optional[Clock] = None):
 
 def run_until(thread: SimThread, pred: Callable[[], bool],
               clock: Optional[Clock] = None, limit: int = 1_000_000) -> int:
-    """Advance one thread until pred() holds or it finishes. Returns the
-    number of steps taken."""
+    """Advance one thread until pred() holds or it finishes, in at most
+    `limit` (>= 0) steps. Returns the number of steps taken."""
+    _exact_int("run_until: limit", limit, 0)
     steps = 0
     while not thread.done and not pred():
         if steps >= limit:
@@ -220,9 +223,7 @@ def explore(setup, check=None, bound: Optional[int] = None) -> ExploreReport:
     The search is depth first, lowest thread index first.
     """
     if bound is not None:
-        _exact_int("explore: bound", bound)
-        if bound < 0:
-            raise ValueError(f"explore: bound must be >= 0, got {bound}")
+        _exact_int("explore: bound", bound, 0)
     failures = []
     count = 0
     stack: list[tuple[int, ...]] = [()]
@@ -243,9 +244,7 @@ def run_seeded(setup, check=None, seed: int = 0,
     pick, the last thread's drained steps included, so a failure replays
     without the rng.
     """
-    _exact_int("run_seeded: runs", runs)
-    if runs < 1:
-        raise ValueError(f"run_seeded: runs must be >= 1, got {runs}")
+    _exact_int("run_seeded: runs", runs, 1)
     rng = random.Random(seed)
     failures = []
     for _ in range(runs):
@@ -257,9 +256,9 @@ def run_seeded(setup, check=None, seed: int = 0,
 
 
 def op_thread(tree, clock: Clock, tid: int, ops, out: list):
-    """Generator running a list of (kind, e1, e2) ops against the tree,
+    """Generator running a list of (kind, e1, e2) ops through `tree._op`,
     appending clock-stamped records to `out`. At an op boundary where
-    `_drain` runs it alone, it runs the op through the counted cores (see
+    `_drain` runs it alone, it runs the op through the counted `_op` (see
     the module docstring)."""
     # me[0]() is the generator itself, which `_drain` marks the clock with
     # while it runs it alone. Held weakly, an op thread dropped unstarted is
@@ -277,27 +276,9 @@ def _op_runner(tree, clock, tid, ops, out, me):
         if clock.solo is me[0]():
             n0 = STEPS.n
             try:
-                r = _counted_op(tree, kind, e1, e2)
+                r = _tree._counted._op(tree, kind, e1, e2)
             finally:
                 clock.t += STEPS.n - n0
-        elif kind == SEARCH:
-            r = yield from tree.search_gen(e1, e2)
-        elif kind == REMOVE:
-            r = yield from tree.remove_gen(e1, e2)
-        elif kind == INSERT:
-            r = 1 if (yield from tree.insert_gen(e1)) else 0
         else:
-            raise ValueError(f"unknown op kind: {kind!r}")
+            r = yield from _tree._op(tree, kind, e1, e2)
         out.append(new(OpRecord, (tid, kind, e1, e2, t1, clock.t, r)))
-
-
-def _counted_op(tree, kind, e1, e2) -> int:
-    """One op through the counted cores, as `search_gen`, `remove_gen` or
-    `insert_gen` would run it, its result as op_thread records it."""
-    if kind == SEARCH:
-        return _tree._counted._search(tree, *_tree._range_args(e1, e2))
-    if kind == REMOVE:
-        return _tree._counted._remove(tree, *_tree._range_args(e1, e2))
-    if kind == INSERT:
-        return 1 if _tree._counted._insert(tree, encode(e1)) else 0
-    raise ValueError(f"unknown op kind: {kind!r}")

@@ -13,11 +13,13 @@ yields compiled out, since real threads are preempted by the interpreter
 anyway; a copied slot loop that uses its index only to read the slot
 iterates the word list instead (_find), with the same reads in the same
 order. Where the explorer runs a thread alone, it runs counted copies, in
-which each yield ticks a step counter instead. Semantics are the
-interval-set contracts checked by verify.py: a search/remove over [e1, e2]
-returns the smallest key that was continuously present, or some key that
-was present at some point during the call; 0 means no key was
-continuously present.
+which each yield ticks a step counter instead. _op is the one map from a
+(kind, e1, e2) op to its core: explorer op threads run it stepped or
+counted and selftest yield-free; the threaded harness calls the public
+methods, which perfbench wraps. Semantics are the interval-set contracts
+checked by verify.py: a search/remove over [e1, e2] returns the smallest
+key that was continuously present, or some key that was present at some
+point during the call; 0 means no key was continuously present.
 
 A leaf's D slots are unsorted, so every operation reads all of them,
 with a scan of its own: a search wants only the smallest key in range
@@ -46,6 +48,7 @@ from .keyspace import (DEAD, EMPTY, MAX_KEY, MIN_KEY, PAYLOAD_MASK, RO_BIT,
                        encode)
 from .nodes import (FROZEN, IDLE, InternalNode, LeafNode, TreeConfig,
                     new_tree_root, node_search)
+from .verify import INSERT, REMOVE, SEARCH
 
 
 class LeafTree:
@@ -219,6 +222,20 @@ class LeafTree:
 # -- generator cores ---------------------------------------------------------
 # Module-level so that derive.copies can re-compile them, calls between
 # them included, into the yield-free and counted copies.
+
+
+def _op(tree, kind, e1, e2):
+    """One (kind, e1, e2) op, its arguments checked as the public methods
+    check them; returns the result as an OpRecord holds it (insert 1/0)."""
+    if kind == SEARCH:
+        e1, e2 = _range_args(e1, e2)
+        return (yield from _search(tree, e1, e2))
+    if kind == REMOVE:
+        e1, e2 = _range_args(e1, e2)
+        return (yield from _remove(tree, e1, e2))
+    if kind == INSERT:
+        return 1 if (yield from _insert(tree, encode(e1))) else 0
+    raise ValueError(f"unknown op kind: {kind!r}")
 
 
 def _search(tree, e1, e2):
@@ -409,3 +426,4 @@ _direct, _counted = copies(sys.modules[__name__], rb=copies(rb))
 _search_direct = _direct._search
 _remove_direct = _direct._remove
 _insert_direct = _direct._insert
+_op_direct = _direct._op

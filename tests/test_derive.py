@@ -29,36 +29,53 @@ def _counters(tree):
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_public_methods_match_the_generator_cores(shape):
+    """One op list through the public methods, the yield-free `_op`, and an
+    op thread stepped one step at a time (the generator `_op`) or drained
+    alone (the counted `_op`): the same results, keys and counters."""
     cfg = RunConfig(threads=1, ops_per_thread=3000, seed=11, **shape)
     ops = make_ops(cfg, 0)
 
-    direct = LeafTree(cfg.tree_config())
+    public = LeafTree(cfg.tree_config())
     got = []
     for kind, e1, e2 in ops:
         if kind == SEARCH:
-            got.append(direct.search(e1, e2))
+            got.append(public.search(e1, e2))
         elif kind == REMOVE:
-            got.append(direct.remove(e1, e2))
+            got.append(public.remove(e1, e2))
         else:
-            got.append(1 if direct.insert(e1) else 0)
+            got.append(1 if public.insert(e1) else 0)
 
-    stepped = LeafTree(cfg.tree_config())
-    records = []
-    sim.run_round_robin([sim.op_thread(stepped, sim.Clock(), 0, ops,
-                                       records)])
-    want = [r.result for r in records]
+    direct = LeafTree(cfg.tree_config())
+    assert [tree_mod._direct._op(direct, *op) for op in ops] == got
 
-    assert got == want
-    assert direct.snapshot() == stepped.snapshot()
-    assert _counters(direct) == _counters(stepped)
-    assert _counters(direct)[1]["link_swaps"] > 0
-    assert direct.check_structure() == stepped.check_structure() == []
+    runs = {}
+    for form in ("stepped", "counted"):
+        tree = LeafTree(cfg.tree_config())
+        clock = sim.Clock()
+        records = []
+        th = sim.SimThread(sim.op_thread(tree, clock, 0, ops, records))
+        if form == "stepped":
+            while not th.done:
+                sim.step(th, clock)
+        else:
+            sim._drain(th, clock)
+        assert [r.result for r in records] == got
+        runs[form] = tree, records, clock.t
+    stepped, counted = runs["stepped"][0], runs["counted"][0]
+    # the same stamps and step count, the solo stretch counted
+    assert runs["stepped"][1:] == runs["counted"][1:]
+
+    for tree in (direct, stepped, counted):
+        assert tree.snapshot() == public.snapshot()
+        assert _counters(tree) == _counters(public)
+        assert tree.check_structure() == []
+    assert _counters(public)[1]["link_swaps"] > 0
 
 
 def test_derived_cores_are_plain_functions():
     direct, counted = tree_mod._direct, tree_mod._counted
-    for name in ("_search", "_remove", "_insert", "_descend", "_scan",
-                 "_find", "_probe"):
+    for name in ("_op", "_search", "_remove", "_insert", "_descend",
+                 "_scan", "_find", "_probe"):
         assert inspect.isgeneratorfunction(getattr(tree_mod, name))
         assert not inspect.isgeneratorfunction(getattr(direct, name))
         assert not inspect.isgeneratorfunction(getattr(counted, name))

@@ -56,13 +56,21 @@ def small(**kw):
     dict(leaf_capacity=8.5),
     dict(min_size=True),
     dict(order=4, min_size=3),           # K < 2S - 1: reshapes never settle
+    # the mix is three numbers and the duration one
+    dict(mix="abc"),
+    dict(mix=("1", "2", "3")),
+    dict(mix=None),
+    dict(duration="1"),
+    dict(duration=None),
 ], ids=["threads", "ops", "range", "range-above-max-key", "mix-len",
         "mix-neg", "mix-zero", "mix-nan", "mix-inf", "duration",
         "duration-nan", "duration-inf", "min-size", "order", "threads-float",
         "threads-bool", "ops-float", "range-str", "seed-float", "order-float",
-        "leaf-float", "min-size-bool", "order-below-2s-1"])
+        "leaf-float", "min-size-bool", "order-below-2s-1", "mix-str",
+        "mix-str-weights", "mix-none", "duration-str", "duration-none"])
 def test_config_rejected_before_any_run(kw):
-    with pytest.raises(ValueError):
+    field = next(iter(kw))
+    with pytest.raises(ValueError, match=field.split("_")[0]):
         small(**kw)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from lftree import sim
+from lftree import harness, sim
 from lftree.derive import STEPS
 from lftree.keyspace import RO_BIT
 from lftree.nodes import PREP, TreeConfig
@@ -81,6 +81,15 @@ def test_run_until_gives_up_at_limit():
     th = sim.SimThread(forever())
     with pytest.raises(RuntimeError, match="no progress in 50"):
         sim.run_until(th, lambda: False, limit=50)
+
+
+@pytest.mark.parametrize("limit", [-1, 1.5, True, "50"])
+def test_run_until_refuses_a_limit_that_is_not_an_int_at_least_0(limit):
+    th = sim.SimThread(chatty(3, [], 0))
+    with pytest.raises(ValueError, match="run_until: limit"):
+        sim.run_until(th, lambda: False, limit=limit)
+    assert not th.done
+    assert sim.run_until(th, lambda: True, limit=0) == 0  # 0 is a limit
 
 
 def test_run_until_finishing_on_the_last_allowed_step():
@@ -423,6 +432,11 @@ def test_op_thread_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown op kind"):
         sim._drain(th, clock)
     assert clock.t == 1
+    # real threads run the same op core, yield-free: an unknown kind is no
+    # insert there either
+    with pytest.raises(ValueError, match="unknown op kind"):
+        harness._run(tree, 0, [("DROP", 1, 1)], None, clock, 0)
+    assert tree.snapshot() == []
 
 
 def test_an_unstarted_op_thread_is_freed_when_dropped():
