@@ -12,6 +12,7 @@ configuration, 3 trace file I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -67,13 +68,17 @@ def _show(title: str, items, count: int = None) -> None:
 
 def cmd_stress(args) -> int:
     cfg = _run_config(args)
-    result = harness.run_stress(cfg)
-    print(result.summary())
+    # an unwritable trace path fails here, before any op runs
+    with (open(args.trace, "w", encoding="ascii") if args.trace
+          else contextlib.nullcontext()) as trace:
+        result = harness.run_stress(cfg)
+        print(result.summary())
+        if args.trace:
+            write_trace(trace, result.records,
+                        comment=f"lftree stress seed={cfg.seed} "
+                                f"threads={cfg.threads} "
+                                f"ops-per-thread={cfg.ops_per_thread}")
     if args.trace:
-        write_trace(args.trace, result.records,
-                    comment=f"lftree stress seed={cfg.seed} "
-                            f"threads={cfg.threads} "
-                            f"ops-per-thread={cfg.ops_per_thread}")
         print(f"trace written to {args.trace}")
     if result.ok:
         print("all checks passed")

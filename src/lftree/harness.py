@@ -4,7 +4,8 @@ A stress run builds a tree, gives each real thread its own seeded
 workload, runs to quiesce, and then verifies everything that is checkable
 after the fact: recorded history against the interval contracts, the
 final snapshot against the net insert/remove balance, and the structural
-invariants. Workloads are pregenerated so the timed loop does nothing but
+invariants. Workloads are pregenerated (`make_ops`, from the rng's
+random() and getrandbits() alone) so the timed loop does nothing but
 operations and record appends; with a duration set, each thread cycles
 its workload until the deadline. Stress and bench run the same loop
 (`_run`), each op through the tree's public methods (`_apply`), which
@@ -70,6 +71,9 @@ class RunConfig:
                 and all(_real(w) and w >= 0 for w in mix) and sum(mix) > 0):
             raise ValueError(f"mix needs three finite non-negative weights: "
                              f"{mix!r}")
+        if not _real(sum(mix)):
+            raise ValueError(f"mix weights must sum to a finite number: "
+                             f"{mix!r}")
         if not (_real(self.duration) and self.duration >= 0):
             raise ValueError(f"duration must be a finite number >= 0: "
                              f"{self.duration!r}")
@@ -79,7 +83,10 @@ class RunConfig:
 
 
 def _real(x) -> bool:  # a finite int or float, not a bool or a string
-    return type(x) in (int, float) and math.isfinite(x)
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def parse_mix(text: str) -> tuple:
@@ -95,27 +102,43 @@ def parse_mix(text: str) -> tuple:
     if not all(map(math.isfinite, weights)) or total <= 0 or min(weights) < 0:
         raise ValueError(f"mix weights must be finite, non-negative and sum "
                          f"> 0: {text!r}")
+    if not math.isfinite(total):
+        raise ValueError(f"mix weights must sum to a finite number: {text!r}")
     return tuple(w / total for w in weights)
 
 
 def make_ops(cfg: RunConfig, tid: int) -> list:
-    """Seeded per-thread workload of (kind, e1, e2) tuples."""
+    """Seeded per-thread workload of (kind, e1, e2) tuples.
+
+    Per op: one random() picks the kind by the normalised mix; a key e1 in
+    [1, top] follows, then for a search or remove a span d in [0, max(1,
+    top >> 8)], and e2 = min(top, e1 + d). Each draw below n takes k =
+    n.bit_length() bits from getrandbits and draws again while the result
+    is >= n: CPython's own rule, so the stream is the one Random.randint
+    gives, without its three Python frames per draw."""
     rng = random.Random(cfg.seed * 7919 + tid * 104729 + 1)
+    draw, bits = rng.random, rng.getrandbits
     ws, wi, _ = (w / sum(cfg.mix) for w in cfg.mix)
+    wsi = ws + wi
     top = cfg.key_range
-    span_max = max(1, top >> 8)
+    spans = max(1, top >> 8) + 1
+    kt, ks = top.bit_length(), spans.bit_length()
     ops = []
+    append = ops.append
     for _ in range(cfg.ops_per_thread):
-        r = rng.random()
-        if r < ws:
-            e1 = rng.randint(1, top)
-            ops.append((SEARCH, e1, min(top, e1 + rng.randint(0, span_max))))
-        elif r < ws + wi:
-            e = rng.randint(1, top)
-            ops.append((INSERT, e, e))
-        else:
-            e1 = rng.randint(1, top)
-            ops.append((REMOVE, e1, min(top, e1 + rng.randint(0, span_max))))
+        r = draw()
+        e1 = bits(kt)
+        while e1 >= top:
+            e1 = bits(kt)
+        e1 += 1
+        if ws <= r < wsi:
+            append((INSERT, e1, e1))
+            continue
+        e2 = bits(ks)
+        while e2 >= spans:
+            e2 = bits(ks)
+        e2 += e1
+        append((SEARCH if r < ws else REMOVE, e1, e2 if e2 < top else top))
     return ops
 
 

@@ -13,7 +13,10 @@ loop, `_drain`, which ticks the clock before every step just as repeated
   with the lowest runnable thread and stacks a schedule for each other
   one, replayed later from a fresh setup; past the bound it names none.
 - `run_seeded` draws one runnable thread per step from a seeded rng, for
-  thread counts where enumeration is too wide.
+  thread counts where enumeration is too wide. Among n runnable threads
+  it takes n.bit_length() bits from getrandbits, again while they read
+  >= n: the draw Random.choice makes, so schedules depend on nothing but
+  the generator's getrandbits.
 - `run_round_robin` takes the first runnable thread after its last pick,
   cyclically.
 
@@ -245,13 +248,21 @@ def run_seeded(setup, check=None, seed: int = 0,
     without the rng.
     """
     _exact_int("run_seeded: runs", runs, 1)
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
+
+    def pick(alive):  # rng.choice(alive), without its two Python frames
+        n = len(alive)
+        k = n.bit_length()
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        return alive[i]
+
     failures = []
     for _ in range(runs):
         picks = []
-        # rng.choice(alive) draws exactly as alive[rng.randrange(len(alive))];
         # drained steps go into the schedule too
-        _checked_run(setup, check, rng.choice, picks, picks, failures)
+        _checked_run(setup, check, pick, picks, picks, failures)
     return ExploreReport(runs, failures)
 
 

@@ -30,10 +30,14 @@ check_history walks the records once. The loop that sets malformed
 records apart and tests each thread's order also files every successful
 insert and remove under its key. Sorted, those tables give each inserted
 key its certain-presence windows, and the rules read both bounds off them
-by bisection, in O(n log n) for n records. The range form of
-certainly_present bisects once per inserted key it looks at; one walk over
-the keys in range serves a failed search or remove and a remove's
-minimality test alike. HistoryIndex asks those same rules one bound at a
+by bisection. The range form of certainly_present bisects once per
+inserted key it looks at; one walk over the keys in range serves a failed
+search or remove and a remove's minimality test alike. Where no violation
+stops it, that walk visits every inserted key in [e1, top] (top is e2 for
+a failed op, the result - 1 for a remove's minimality test), so the check
+is O(n log n) for n records only while ranges are narrow relative to the
+key set: a history of delete-min removes over the whole key range is
+quadratic. HistoryIndex asks those same rules one bound at a
 time.
 
 Removal lifetimes must also pair off: sorting the removes of e by response
@@ -445,12 +449,15 @@ class TraceError(ValueError):
 
 
 def write_trace(path, records: Iterable[OpRecord], comment: str = "") -> None:
-    """Tab-separated rows: tid, kind, e1, e2, t1, t2, result."""
-    with open(path, "w", encoding="ascii") as f:
-        for line in comment.splitlines():
-            f.write(f"# {line}\n")
-        for r in records:
-            f.write(r.line() + "\n")
+    """Tab-separated rows: tid, kind, e1, e2, t1, t2, result. `path` is a
+    file name, or a text file already open for writing."""
+    if not hasattr(path, "write"):
+        with open(path, "w", encoding="ascii") as f:
+            return write_trace(f, records, comment)
+    for line in comment.splitlines():
+        path.write(f"# {line}\n")
+    for r in records:
+        path.write(r.line() + "\n")
 
 
 def read_trace(path) -> list[OpRecord]:

@@ -8,8 +8,9 @@ check for tiny histories, the presence bounds evaluated straight from
 their definitions and the history checker's rules over them, builders that assemble exact tree shapes node by node,
 a leaf scan read off the word layout, a gap-by-gap starvation screen, a
 schedule enumerator that replays every prefix from scratch, round-robin and
-seeded drivers that take every step one at a time, and the structure check
-as a recursive walk.
+seeded drivers that take every step one at a time, the structure check
+as a recursive walk, and the stress workload drawn through
+Random.randint.
 """
 
 from __future__ import annotations
@@ -490,3 +491,28 @@ def check_structure_by_walk(tree) -> list:
     if len(leaf_depths) > 1:
         bad.append(f"leaves at different depths: {sorted(leaf_depths)}")
     return bad
+
+
+# --- workloads, drawn through Random.randint --------------------------------
+
+
+def make_ops_by_randint(cfg, tid: int) -> list:
+    """Reference for harness.make_ops: the same stream, each key and span
+    drawn by Random.randint."""
+    rng = random.Random(cfg.seed * 7919 + tid * 104729 + 1)
+    ws, wi, _ = (w / sum(cfg.mix) for w in cfg.mix)
+    top = cfg.key_range
+    span_max = max(1, top >> 8)
+    ops = []
+    for _ in range(cfg.ops_per_thread):
+        r = rng.random()
+        if r < ws:
+            e1 = rng.randint(1, top)
+            ops.append((SEARCH, e1, min(top, e1 + rng.randint(0, span_max))))
+        elif r < ws + wi:
+            e = rng.randint(1, top)
+            ops.append((INSERT, e, e))
+        else:
+            e1 = rng.randint(1, top)
+            ops.append((REMOVE, e1, min(top, e1 + rng.randint(0, span_max))))
+    return ops

@@ -36,6 +36,19 @@ def test_single_thread_traces_reproduce_byte_for_byte(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_unwritable_trace_path_exits_3_before_any_op(tmp_path, monkeypatch,
+                                                     capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(harness, "run_stress", no_run)
+    trace = tmp_path / "no-such-dir" / "run.trace"
+    assert main(STRESS_SMALL + ["--trace", str(trace)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""  # no summary line
+    assert "i/o error" in err
+
+
 def test_check_flags_a_violating_trace(tmp_path, capsys):
     trace = tmp_path / "bad.trace"
     # a search result for a key no insert ever produced
@@ -96,6 +109,7 @@ def test_check_fails_on_progress_audit_findings(tmp_path, capsys):
     ["stress", "--order", "3", "--min-size", "8"],
     ["stress", "--mix", "1:2"],
     ["stress", "--mix", "nan:1:1"],
+    ["stress", "--mix", "1e308:1e308:0"],
     ["stress", "--range", "9223372036854775808"],
     ["bench", "--range", "9223372036854775808", "--threads", "2",
      "--duration", "0.1"],
@@ -111,6 +125,7 @@ def test_check_fails_on_progress_audit_findings(tmp_path, capsys):
     ["schedules", "begin-race", "--runs", "5", "--seed", "1"],
     ["schedules", "begin-race", "--seed", "1"],
 ], ids=["threads", "min-size", "order-below-2s-1", "mix", "mix-nan",
+        "mix-overflow",
         "stress-range-above-max-key", "bench-range-above-max-key",
         "duration", "duration-nan",
         "thread-list", "runs-negative", "runs-zero", "all-runs-zero",

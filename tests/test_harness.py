@@ -6,7 +6,10 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from lftree import harness, sim
 from lftree.harness import (
     RunConfig,
@@ -62,12 +65,16 @@ def small(**kw):
     dict(mix=None),
     dict(duration="1"),
     dict(duration=None),
+    # ints past the float range
+    dict(mix=(10 ** 400, 1, 1)),
+    dict(duration=10 ** 400),
 ], ids=["threads", "ops", "range", "range-above-max-key", "mix-len",
         "mix-neg", "mix-zero", "mix-nan", "mix-inf", "duration",
         "duration-nan", "duration-inf", "min-size", "order", "threads-float",
         "threads-bool", "ops-float", "range-str", "seed-float", "order-float",
         "leaf-float", "min-size-bool", "order-below-2s-1", "mix-str",
-        "mix-str-weights", "mix-none", "duration-str", "duration-none"])
+        "mix-str-weights", "mix-none", "duration-str", "duration-none",
+        "mix-huge-int", "duration-huge-int"])
 def test_config_rejected_before_any_run(kw):
     field = next(iter(kw))
     with pytest.raises(ValueError, match=field.split("_")[0]):
@@ -98,6 +105,16 @@ def test_parse_mix_rejects(text):
         parse_mix(text)
 
 
+def test_a_mix_summing_past_the_float_range_is_refused():
+    # w / sum would read every weight as 0: a stream of removes only
+    with pytest.raises(ValueError, match="sum to a finite number"):
+        small(mix=(1e308, 1e308, 0.0))
+    with pytest.raises(ValueError, match="sum to a finite number"):
+        parse_mix("1e308:1e308:0")
+    assert parse_mix("1e308:0:0") == (1.0, 0.0, 0.0)
+    small(mix=(1e308, 0.0, 1e307))
+
+
 # --- workload generation ------------------------------------------------
 
 
@@ -117,6 +134,26 @@ def test_make_ops_respects_bounds_and_mix():
             assert 1 <= e1 <= e2 <= 64
             if k == INSERT:
                 assert e1 == e2
+
+
+# 4, 5, 2**k and 2**k +- 1 up to MAX_KEY = 2**63 - 1, and any range between
+_KEY_RANGES = st.one_of(
+    st.sampled_from([4, 5]),
+    st.builds(lambda k, d: (1 << k) + d, st.integers(2, 63),
+              st.sampled_from([-1, 0, 1])),
+    st.integers(4, MAX_KEY)).filter(lambda n: 4 <= n <= MAX_KEY)
+_WEIGHTS = st.one_of(st.sampled_from([0, 0.0, 1, 3]),
+                     st.floats(0, 1e6, allow_subnormal=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(-2 ** 64, 2 ** 64), tid=st.integers(0, 64),
+       key_range=_KEY_RANGES, ops=st.integers(1, 300),
+       mix=st.tuples(_WEIGHTS, _WEIGHTS, _WEIGHTS).filter(
+           lambda m: sum(m) > 0))
+def test_make_ops_draws_the_randint_stream(seed, tid, key_range, ops, mix):
+    cfg = small(seed=seed, key_range=key_range, ops_per_thread=ops, mix=mix)
+    assert make_ops(cfg, tid) == reference.make_ops_by_randint(cfg, tid)
 
 
 # --- stress runs --------------------------------------------------------
