@@ -92,11 +92,7 @@ def cmd_stress(args) -> int:
 def cmd_check(args) -> int:
     if args.window < 0:
         raise ValueError(f"--window must be >= 0, got {args.window}")
-    try:
-        records = read_trace(args.trace)
-    except TraceError as exc:
-        print(f"malformed trace: {exc}", file=sys.stderr)
-        return 1
+    records = read_trace(args.trace)  # main reports a TraceError
     violations = check_history(records)
     print(f"{len(records)} records, {len(violations)} violations")
     stalls = 0

@@ -219,7 +219,10 @@ def _run_all(tree: LeafTree, workloads, duration: float,
     gate = threading.Barrier(n)
 
     def work(tid: int):
-        gate.wait()
+        try:
+            gate.wait()
+        except threading.BrokenBarrierError:  # a later thread failed to start
+            return
         try:
             counts[tid] = _run(tree, tid, workloads[tid], outs[tid], clock,
                                duration)
@@ -237,9 +240,17 @@ def _run_all(tree: LeafTree, workloads, duration: float,
     if threads:
         sys.setswitchinterval(_SWITCH_INTERVAL)
     start = time.perf_counter()
+    started = []
     try:
-        for th in threads:
-            th.start()
+        try:
+            for th in threads:
+                th.start()
+                started.append(th)
+        except BaseException:
+            gate.abort()  # the started threads return without running an op
+            for th in started:
+                th.join()
+            raise
         work(0)
         for th in threads:
             th.join()

@@ -358,8 +358,8 @@ def _plan_internal(tree, grand, live, parent, pvals, ju):
     lo = hi = ju
     inputs = (c_n,)
 
-    # an overfull node splits, even when it is also under S (K < S)
-    if c_n < S and c_n <= K and len(pvals) >= 2:
+    # an underfull node takes in a sibling (K >= 2S - 1: it is not overfull)
+    if c_n < S and len(pvals) >= 2:
         js = ju + 1 if ju + 1 < len(pvals) else ju - 1
         sib = pvals[js]
         ok = yield from freeze_internal(tree, grand, live, sib)

@@ -26,9 +26,13 @@ consume directly.
 
 The solo stretch. An `op_thread` steps each op's `tree._op` generator,
 as a scenario steps `search_gen`. While `_drain` runs a thread, no other
-thread steps until it finishes, so its scheduling points choose nothing;
-`_drain` marks its clock `solo` with the generator it runs. An
-`op_thread` so marked at an op boundary runs each remaining op through the
+thread steps until it finishes, so its scheduling points choose nothing.
+`_drain` sets its clock's `solo` flag only while the generator it runs is
+an op thread, which it recognizes by the generator's code object
+(`gi_code is op_thread.__code__`). An op thread never resumes another
+generator, so while the flag is set it is the only op-thread code that
+runs. An `op_thread` that finds the flag set at an op boundary runs each
+remaining op through the
 counted copy of `_op` (derive.py): yield-free, each scheduling point one
 tick of the process-wide `derive.STEPS`. It stamps t1, runs the op,
 advances the clock by the counter's delta and stamps t2. That is exact. A
@@ -48,7 +52,6 @@ scenario's, is always stepped.
 from __future__ import annotations
 
 import random
-import weakref
 from bisect import bisect_right
 from typing import Callable, NamedTuple, Optional
 
@@ -63,7 +66,7 @@ class Clock:
 
     def __init__(self):
         self.t = 0
-        self.solo = None  # the generator `_drain` runs alone on this clock
+        self.solo = False  # `_drain` runs an op thread alone on this clock
 
 
 class SimThread:
@@ -94,14 +97,15 @@ def step(thread: SimThread, clock: Optional[Clock] = None) -> None:
 
 def _drain(thread: SimThread, clock: Optional[Clock] = None) -> int:
     """Run a thread to completion, ticking the clock before every step as
-    `step` does, with the clock marked solo for it. Returns the number of
-    steps taken."""
+    `step` does, with the clock marked solo if it is an op thread. Returns
+    the number of steps taken."""
     _refuse_finished(thread, "_drain")
     if clock is None:
         clock = Clock()
     t0 = clock.t
     gen = thread.gen
-    outer, clock.solo = clock.solo, gen
+    outer = clock.solo
+    clock.solo = getattr(gen, "gi_code", None) is op_thread.__code__
     try:
         while True:
             clock.t += 1
@@ -271,20 +275,10 @@ def op_thread(tree, clock: Clock, tid: int, ops, out: list):
     appending clock-stamped records to `out`. At an op boundary where
     `_drain` runs it alone, it runs the op through the counted `_op` (see
     the module docstring)."""
-    # me[0]() is the generator itself, which `_drain` marks the clock with
-    # while it runs it alone. Held weakly, an op thread dropped unstarted is
-    # freed at once rather than by the cycle collector.
-    me = []
-    gen = _op_runner(tree, clock, tid, ops, out, me)
-    me.append(weakref.ref(gen))
-    return gen
-
-
-def _op_runner(tree, clock, tid, ops, out, me):
     new = tuple.__new__  # an OpRecord, minus its Python-level __new__
     for kind, e1, e2 in ops:
         t1 = clock.t
-        if clock.solo is me[0]():
+        if clock.solo:
             n0 = STEPS.n
             try:
                 r = _tree._counted._op(tree, kind, e1, e2)

@@ -37,8 +37,7 @@ stops it, that walk visits every inserted key in [e1, top] (top is e2 for
 a failed op, the result - 1 for a remove's minimality test), so the check
 is O(n log n) for n records only while ranges are narrow relative to the
 key set: a history of delete-min removes over the whole key range is
-quadratic. HistoryIndex asks those same rules one bound at a
-time.
+quadratic.
 
 Removal lifetimes must also pair off: sorting the removes of e by response
 time, the i-th (1-based) needs at least i successful inserts invoked before
@@ -232,26 +231,13 @@ def _index(ins: dict, rem: dict) -> tuple:
     return windows, sorted(windows)
 
 
-# rule -> its detail; {kind} in a rule is the record's kind in lower case,
-# {key} the key the rule names
-_DETAILS = {
-    "insert-over-certain-present": "{key} was present throughout the call",
-    "failed-insert-never-present": "{key} was never there to collide with",
-    "failed-{kind}-certain-match": "{key} was present throughout the call",
-    "result-outside-range": "returned {key}",
-    "{kind}-result-never-present": "{key} could not have been in the tree",
-    "remove-not-minimal": "{key} < {res} was present throughout",
-}
-
-
-def _rules(records: list, ins: dict, rem: dict, windows: dict,
-           keys: list) -> list:
-    """(rule, record, key) for each contract rule a sane record breaks, in
-    record order, read off the sorted tables by bisection. A key is
-    certainly present over (a, b) iff the last of its windows ending by a
-    holds to b or later; possibly present iff more of its inserts were
-    invoked before b than its removes responded by a."""
-    found = []
+def _rules(records: list, ins: dict, rem: dict, windows: dict, keys: list,
+           out: list) -> None:
+    """Reports to `out` each contract rule a sane record breaks, in record
+    order, read off the sorted tables by bisection. A key is certainly
+    present over (a, b) iff the last of its windows ending by a holds to b
+    or later; possibly present iff more of its inserts were invoked before
+    b than its removes responded by a."""
     for r in records:
         _, kind, e1, e2, a, b, res = r
         if kind == INSERT:
@@ -259,61 +245,47 @@ def _rules(records: list, ins: dict, rem: dict, windows: dict,
                 win = windows.get(e1, ())
                 j = bisect_right(win, (a, _NEVER))
                 if j and win[j - 1][1] >= b:
-                    found.append(("insert-over-certain-present", r, e1))
+                    out.append(Violation(
+                        "insert-over-certain-present", r,
+                        f"{e1} was present throughout the call"))
             elif (bisect_left(ins.get(e1, ()), (b,))
                   <= bisect_right(rem.get(e1, ()), (a, _NEVER))):
-                found.append(("failed-insert-never-present", r, e1))
+                out.append(Violation(
+                    "failed-insert-never-present", r,
+                    f"{e1} was never there to collide with"))
             continue
         # a search and a remove share their rules; a remove must also find
         # no key below its result that was present throughout the call
         if res:
             if not e1 <= res <= e2:
-                found.append(("result-outside-range", r, res))
+                out.append(Violation("result-outside-range", r,
+                                     f"returned {res}"))
                 continue
             if (bisect_left(ins.get(res, ()), (b,))
                     <= bisect_right(rem.get(res, ()), (a, _NEVER))):
-                found.append(("{kind}-result-never-present", r, res))
+                out.append(Violation(
+                    f"{kind.lower()}-result-never-present", r,
+                    f"{res} could not have been in the tree"))
             if res == e1 or kind == SEARCH:
                 continue
-            top, rule = res - 1, "remove-not-minimal"
+            top = res - 1
         else:
-            top, rule = e2, "failed-{kind}-certain-match"
+            top = e2
         # the smallest inserted key in [e1, top] certainly present
         by_a = (a, _NEVER)
         for i in range(bisect_left(keys, e1), bisect_right(keys, top)):
             win = windows[keys[i]]
             j = bisect_right(win, by_a)
             if j and win[j - 1][1] >= b:
-                found.append((rule, r, keys[i]))
+                if res:
+                    out.append(Violation(
+                        "remove-not-minimal", r,
+                        f"{keys[i]} < {res} was present throughout"))
+                else:
+                    out.append(Violation(
+                        f"failed-{kind.lower()}-certain-match", r,
+                        f"{keys[i]} was present throughout the call"))
                 break
-    return found
-
-
-class HistoryIndex:
-    """check_history's sorted tables of `records`, asked one presence bound
-    at a time: each query runs check_history's rules over one made-up
-    record and reads off what they found."""
-
-    def __init__(self, records: Iterable[OpRecord]):
-        _, _, self.ins, self.rem = _walk(records, [])
-        self.windows, self.keys = _index(self.ins, self.rem)
-
-    def _found(self, *record) -> list:
-        return _rules([record], self.ins, self.rem, self.windows, self.keys)
-
-    def certainly_present(self, e: int, a: int, b: int) -> bool:
-        """A successful insert of e over (a, b) breaks a rule."""
-        return bool(self._found(0, INSERT, e, e, a, b, 1))
-
-    def possibly_present(self, e: int, a: int, b: int) -> bool:
-        """A failed insert of e over (a, b) breaks none."""
-        return not self._found(0, INSERT, e, e, a, b, 0)
-
-    def certain_in_range(self, e1: int, e2: int, a: int, b: int) -> int:
-        """Smallest key in [e1, e2] certainly present over (a, b), else 0:
-        the key a failed search over (a, b) would be faulted for."""
-        found = self._found(0, SEARCH, e1, e2, a, b, 0)
-        return found[0][2] if found else 0
 
 
 _INTERVAL = itemgetter(4, 5)   # (t1, t2) of an OpRecord
@@ -339,9 +311,7 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
                         f"{prev.kind} responded at {prev.t2}"))
 
     windows, keys = _index(ins, rem)
-    for rule, r, key in _rules(sane, ins, rem, windows, keys):
-        out.append(Violation(rule.format(kind=r.kind.lower()), r,
-                             _DETAILS[rule].format(key=key, res=r.result)))
+    _rules(sane, ins, rem, windows, keys, out)
 
     # removal lifetimes must pair off with distinct insert lifetimes
     for key, starts in ins.items():

@@ -3,14 +3,14 @@
 Everything here is implemented from the interval-set semantics and the
 size policies directly, sharing no code with the package: a second
 interval-set model built on a plain set, the split/merge/redistribute
-arithmetic, a brute-force splitter, a brute-force history feasibility
-check for tiny histories, the presence bounds evaluated straight from
-their definitions and the history checker's rules over them, builders that assemble exact tree shapes node by node,
-a leaf scan read off the word layout, a gap-by-gap starvation screen, a
-schedule enumerator that replays every prefix from scratch, round-robin and
-seeded drivers that take every step one at a time, the structure check
-as a recursive walk, and the stress workload drawn through
-Random.randint.
+arithmetic, a brute-force history feasibility check for tiny histories,
+the presence bounds evaluated straight from their definitions and the
+history checker's rules over them, builders that assemble exact tree
+shapes node by node, a leaf scan read off the word layout, a gap-by-gap
+starvation screen, a schedule enumerator that replays every prefix from
+scratch, round-robin and seeded drivers that take every step one at a
+time, the structure check as a recursive walk, and the stress workload
+drawn through Random.randint.
 """
 
 from __future__ import annotations
@@ -72,13 +72,6 @@ def merge_or_redistribute(a: int, b: int, cap: int) -> tuple:
 def band(cfg: TreeConfig) -> tuple:
     return (min(2 * cfg.min_size, cfg.leaf_capacity // 2),
             cfg.leaf_capacity - 1)
-
-
-def all_slicings(keys):
-    """Every way to cut sorted keys into two non-empty runs."""
-    ordered = sorted(keys)
-    for cut in range(1, len(ordered)):
-        yield ordered[:cut], ordered[cut:]
 
 
 def build_flat(cfg: TreeConfig, leaf_keys: list) -> LeafTree:

@@ -1,8 +1,10 @@
 """Stress harness: config validation, workload generation, single and
 multi thread runs, duration cycling, and the bench loop."""
 
+import gc
 import hashlib
 import random
+import sys
 import threading
 
 import pytest
@@ -385,6 +387,33 @@ def test_run_all_raises_after_every_thread_has_finished(monkeypatch):
                          buckets)
     assert buckets[0] == []
     assert [r[1:4] for r in buckets[1]] == workloads[1]
+
+
+def test_a_thread_that_fails_to_start_leaves_none_waiting(monkeypatch):
+    # the second start raises: the first thread, already waiting at the
+    # barrier, must return without running an op or dying noisily
+    start = threading.Thread.start
+    started = []
+
+    def patched(self):
+        if started:
+            raise Boom("no more threads")
+        started.append(self)
+        start(self)
+
+    unhandled = []
+    monkeypatch.setattr(threading.Thread, "start", patched)
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    cfg = small(threads=3, ops_per_thread=200)
+    buckets = [[], [], []]
+    interval = sys.getswitchinterval()
+    with pytest.raises(Boom):
+        harness._run_all(LeafTree(cfg.tree_config()),
+                         [make_ops(cfg, tid) for tid in range(3)], 0.0,
+                         buckets)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert buckets == [[], [], []] and unhandled == []
+    assert sys.getswitchinterval() == interval and gc.isenabled()
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -653,8 +653,9 @@ def test_a_lone_prestate_runs_the_counted_cores():
 
 
 def test_op_threads_stepped_by_a_drained_generator_are_stepped():
-    # The clock is marked solo for the generator being drained, not for
-    # the op threads it steps in turn: they do not run alone.
+    # The clock is marked solo only while an op thread is drained, not
+    # while a conductor that steps op threads in turn is: they do not run
+    # alone.
     def run(finish):
         tree = LeafTree(_SMALL)
         clock = sim.Clock()

@@ -19,7 +19,6 @@ from lftree.verify import (
     INSERT,
     REMOVE,
     SEARCH,
-    HistoryIndex,
     OpRecord,
     SetOracle,
     TraceError,
@@ -30,7 +29,7 @@ from lftree.verify import (
     write_trace,
 )
 import reference
-from reference import PlainSetModel, ReferenceIndex, feasible
+from reference import PlainSetModel, feasible
 
 
 def rules(records):
@@ -327,7 +326,7 @@ def test_flagged_histories_are_truly_infeasible():
     assert flagged > 20 and passed > 20
 
 
-# --- the presence index against the bounds' definitions -----------------
+# --- the checker's bounds against their definitions ---------------------
 
 _SPANS = st.lists(st.tuples(st.integers(0, 60), st.integers(1, 12)),
                   max_size=8).map(lambda xs: [(t, t + d) for t, d in xs])
@@ -338,15 +337,15 @@ _SPANS = st.lists(st.tuples(st.integers(0, 60), st.integers(1, 12)),
        calls=st.lists(st.tuples(st.integers(0, 80), st.integers(1, 20)),
                       min_size=1, max_size=12))
 def test_presence_index_matches_the_definitions(ins, rem, calls):
+    # each call is a made-up insert of 7 over (a, b): a successful one is
+    # faulted iff 7 is certainly present, a failed one iff not possibly
     recs = ([OpRecord(0, INSERT, 7, 7, t1, t2, 1) for t1, t2 in ins]
             + [OpRecord(1, REMOVE, 1, 9, t1, t2, 7) for t1, t2 in rem])
-    idx = HistoryIndex(recs)
     for a, d in calls:
-        b = a + d
-        assert idx.certainly_present(7, a, b) == \
-            reference.certainly_present(ins, rem, a, b)
-        assert idx.possibly_present(7, a, b) == \
-            reference.possibly_present(ins, rem, a, b)
+        for res in (1, 0):
+            hist = recs + [OpRecord(2, INSERT, 7, 7, a, a + d, res)]
+            assert check_history(hist) == \
+                reference.check_history_by_definition(hist)
 
 
 def _random_key_history(rng, keys, top_time):
@@ -371,15 +370,14 @@ def test_range_queries_match_a_walk_over_the_definitions(seed, nkeys, width):
     rng = random.Random(seed)
     keys = sorted(rng.sample(range(1, 4 * nkeys + 2), nkeys))
     recs = _random_key_history(rng, keys, 400)
-    queries = []
-    for _ in range(200):
+    # each query is a failed search on its own thread, faulted for the
+    # smallest key in range certainly present
+    for tid in range(2, 202):
         e1 = rng.randint(1, 4 * nkeys + 2)
         a = rng.randint(0, 460)
-        queries.append((e1, e1 + rng.randint(0, width), a,
-                        a + rng.randint(1, 30)))
-    ref, idx = ReferenceIndex(recs), HistoryIndex(recs)
-    assert [idx.certain_in_range(*q) for q in queries] == \
-        [ref.certain_in_range(*q) for q in queries]
+        recs.append(OpRecord(tid, SEARCH, e1, e1 + rng.randint(0, width), a,
+                             a + rng.randint(1, 30), 0))
+    assert check_history(recs) == reference.check_history_by_definition(recs)
 
 
 def _mutated(recs, rng, count):
