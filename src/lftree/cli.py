@@ -26,22 +26,24 @@ _MAX_SHOWN = 10
 
 
 def _tree_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order", type=int, default=32,
-                   help="max children per internal node (default 32)")
-    p.add_argument("--leaf-cap", type=int, default=32,
-                   help="slots per leaf (default 32)")
-    p.add_argument("--min-size", type=int, default=8,
-                   help="sparsity threshold (default 8)")
+    p.add_argument("--order", type=int, default=TreeConfig.order,
+                   help="max children per internal node (default %(default)s)")
+    p.add_argument("--leaf-cap", type=int, default=TreeConfig.leaf_capacity,
+                   help="slots per leaf (default %(default)s)")
+    p.add_argument("--min-size", type=int, default=TreeConfig.min_size,
+                   help="sparsity threshold (default %(default)s)")
 
 
 def _workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ops", type=int, default=100_000,
-                   help="operations per thread (default 100000)")
-    p.add_argument("--range", type=int, default=1 << 16, dest="key_range",
-                   help="keys are drawn from [1, RANGE] (default 65536)")
+    p.add_argument("--ops", type=int, default=harness.RunConfig.ops_per_thread,
+                   help="operations per thread (default %(default)s)")
+    p.add_argument("--range", type=int, default=harness.RunConfig.key_range,
+                   dest="key_range",
+                   help="keys are drawn from [1, RANGE] (default %(default)s)")
     p.add_argument("--mix", default="50:25:25",
-                   help="search:insert:remove weights (default 50:25:25)")
-    p.add_argument("--seed", type=int, default=0)
+                   help="search:insert:remove weights (default %(default)s)")
+    p.add_argument("--seed", type=int, default=harness.RunConfig.seed,
+                   help="workload seed (default %(default)s)")
 
 
 def _run_config(args, threads=None, duration=0.0) -> harness.RunConfig:
@@ -210,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stress", help="threaded run with full verification")
     _tree_args(p)
     _workload_args(p)
-    p.add_argument("--threads", type=int, default=8)
+    p.add_argument("--threads", type=int, default=harness.RunConfig.threads,
+                   help="worker threads (default %(default)s)")
     p.add_argument("--trace", help="write the op history to this file")
     p.set_defaults(func=cmd_stress)
 

@@ -45,9 +45,9 @@ _SWITCH_INTERVAL = 1e-5
 
 @dataclass(frozen=True)
 class RunConfig:
-    order: int = 32
-    leaf_capacity: int = 32
-    min_size: int = 8
+    order: int = TreeConfig.order
+    leaf_capacity: int = TreeConfig.leaf_capacity
+    min_size: int = TreeConfig.min_size
     threads: int = 8
     ops_per_thread: int = 100_000
     key_range: int = 1 << 16

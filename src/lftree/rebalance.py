@@ -31,8 +31,8 @@ it pre-frozen and replaces it. A helper that observes step SWAP but finds
 the child link already pointing at an unfrozen node knows the swap
 happened and only attempts the clear.
 
-Plan records and the count of retired (unlinked) nodes are the duty of the
-link-swap winner, which is unique; status clearing may be done by anyone.
+Plan records are the duty of the link-swap winner, which is unique; status
+clearing may be done by anyone.
 CPython's GC frees the unlinked nodes once no thread holds them.
 """
 
@@ -67,7 +67,6 @@ class RebalanceStats:
     def __init__(self):
         self.lock = threading.Lock()
         self.begins = 0
-        self.retired = 0        # nodes unlinked by link swaps
         self.clears = 0
         self.helper_clears = 0
         self.records: list[RebalanceRecord] = []
@@ -77,7 +76,6 @@ class RebalanceStats:
             return {
                 "begins": self.begins,
                 "link_swaps": len(self.records),
-                "retired": self.retired,
                 "clears": self.clears,
                 "helper_clears": self.helper_clears,
                 "records": list(self.records),
@@ -218,7 +216,7 @@ def execute(tree, grand, st, helped: bool = False):
     plan = yield from _build_plan(tree, grand, live, parent, key)
     if plan is None:
         return
-    new_parent, record, unlinked = plan
+    new_parent, record = plan
 
     yield
     cur = grand.status[0]
@@ -237,7 +235,6 @@ def execute(tree, grand, st, helped: bool = False):
             stats = tree.stats
             stats.lock.acquire()
             try:
-                stats.retired += unlinked
                 stats.records.append(record)
             finally:
                 stats.lock.release()
@@ -277,8 +274,7 @@ def _build_plan(tree, grand, live, parent, key):
 
     Deterministic given the frozen content, so concurrent executors build
     content-identical plans and the single link-swap winner may install any
-    of them. Returns (new parent, record, count of nodes the swap unlinks:
-    the parent and the frozen nodes it loses), or None if the rebalance
+    of them. Returns (new parent, record), or None if the rebalance
     completed while freezing."""
     if grand is tree.root:
         n = len(parent.children)
@@ -289,7 +285,7 @@ def _build_plan(tree, grand, live, parent, key):
                                                parent.separators)
             top = _splice(parent, pvals, 0, n - 1, new, seps)
             return top, _rec("root", GROW, (n,), sizes, top,
-                             _nodes_hold(new, pvals), False), 1
+                             _nodes_hold(new, pvals), False)
         if n == 1:
             yield
             only = parent.children[0]
@@ -341,7 +337,7 @@ def _plan_leaf(tree, grand, live, parent, pvals, ju):
     new, seps, sizes = _halve_leaf(D, keys)
     top = _splice(parent, pvals, lo, hi, new, seps)
     return top, _rec("leaf", _ACTIONS[len(inputs), len(new)], inputs, sizes,
-                     top, _leaves_hold(new, keys), clean), 2 + hi - lo
+                     top, _leaves_hold(new, keys), clean)
 
 
 def _plan_internal(tree, grand, live, parent, pvals, ju):
@@ -377,7 +373,7 @@ def _plan_internal(tree, grand, live, parent, pvals, ju):
     new, nseps, sizes = _halve_internal(K, vals, seps)
     top = _splice(parent, pvals, lo, hi, new, nseps)
     return top, _rec("internal", _ACTIONS[len(inputs), len(new)], inputs,
-                     sizes, top, _nodes_hold(new, vals), False), 2 + hi - lo
+                     sizes, top, _nodes_hold(new, vals), False)
 
 
 def _plan_shrink(tree, grand, live, only):
@@ -391,7 +387,7 @@ def _plan_shrink(tree, grand, live, only):
     rec = _new_tuple(RebalanceRecord, (
         "root", SHRINK, (1, len(vals)), (len(vals),), False,
         _nodes_hold([dropped], vals), False))
-    return dropped, rec, 2
+    return dropped, rec
 
 
 # --- small pure helpers -----------------------------------------------------

@@ -35,7 +35,8 @@ from . import rebalance as rb
 from . import sim
 from .keyspace import DEAD, RO_BIT
 from .nodes import FROZEN, IDLE, PREP, SWAP, LeafNode, TreeConfig
-from .tree import LeafTree
+from .tree import LeafTree, _op
+from .verify import INSERT, SEARCH
 
 _SMALL = TreeConfig(order=3, leaf_capacity=4, min_size=2)
 
@@ -136,7 +137,7 @@ def _read_race_setup(clock):
     for k in (10, 40):
         tree.insert(k)
     out: list[int] = []
-    return out, [tree.search_gen(10, 15), _watch(tree, out)]
+    return out, [_op(tree, SEARCH, 10, 15), _watch(tree, out)]
 
 
 def _read_race_check(out, threads, schedule):
@@ -182,7 +183,7 @@ def _helped_split_check(tree, threads, schedule):
 # middle leaf; thread 0 inserts 58. The 33 chain splits the middle leaf,
 # overflows the parent to 4 children, and forces a root grow; the 58 chain
 # splits the right leaf under the new top. Endpoint in every schedule: 3
-# more link swaps, root sequence 4, both inserts true. Thread 0 drains
+# more link swaps, root sequence 4, both inserts landed. Thread 0 drains
 # first past the bound, covering the fully-helped wake-up in the deepest
 # schedules.
 
@@ -193,17 +194,17 @@ def _stale_helper_setup(clock):
     mid = tree.root.children[0].children[1]
     assert isinstance(mid, LeafNode)
     tree.stats = rb.RebalanceStats()  # drop construction-time counts
-    owner = sim.SimThread(tree.insert_gen(33))
+    owner = sim.SimThread(_op(tree, INSERT, 33, 33))
     frozen = lambda: sum(1 for w in mid.slots if w & RO_BIT)
     sim.run_until(owner, lambda: frozen() >= 2)
     assert not owner.done
-    return tree, [tree.insert_gen(58), owner.gen]
+    return tree, [_op(tree, INSERT, 58, 58), owner.gen]
 
 
 def _stale_helper_check(tree, threads, schedule):
     problems: list[str] = []
-    _expect(problems, threads[0].result is True, "insert 58 failed")
-    _expect(problems, threads[1].result is True, "insert 33 failed")
+    _expect(problems, threads[0].result == 1, "insert 58 failed")
+    _expect(problems, threads[1].result == 1, "insert 33 failed")
     _settled(tree, problems, swaps=3, seq=4,
              keys=[10, 20, 30, 33, 35, 38, 40, 50, 55, 58, 60, 70])
     actions = sorted(r.action for r in tree.stats.records)
@@ -238,7 +239,7 @@ def _stale_grandparent_setup(clock):
     assert isinstance(full, LeafNode)
     assert sorted(rb.live_keys(full.slots)) == [58, 59, 60, 70]
     tree.stats = rb.RebalanceStats()
-    owner = sim.SimThread(tree.insert_gen(61))
+    owner = sim.SimThread(_op(tree, INSERT, 61, 61))
     frozen = lambda: sum(1 for w in full.slots if w & RO_BIT)
     sim.run_until(owner, lambda: frozen() >= 2)
     assert not owner.done
@@ -249,7 +250,7 @@ def _stale_grandparent_check(ctx, threads, schedule):
     tree, old_top = ctx
     problems: list[str] = []
     _expect(problems, threads[0].result is True, "rebuild trigger lost")
-    _expect(problems, threads[1].result is True, "insert 61 failed")
+    _expect(problems, threads[1].result == 1, "insert 61 failed")
     _settled(tree, problems, swaps=3, seq=6,
              keys=[10, 20, 30, 33, 35, 38, 40, 50, 55, 58, 59, 60, 61, 70])
     _expect(problems, old_top.status[0][2] == FROZEN,

@@ -25,7 +25,7 @@ it, giving small-model histories integer timestamps the history checker can
 consume directly.
 
 The solo stretch. An `op_thread` steps each op's `tree._op` generator,
-as a scenario steps `search_gen`. While `_drain` runs a thread, no other
+as a scenario steps the ops it races. While `_drain` runs a thread, no other
 thread steps until it finishes, so its scheduling points choose nothing.
 `_drain` sets its clock's `solo` flag only while the generator it runs is
 an op thread, which it recognizes by the generator's code object

@@ -75,19 +75,6 @@ class LeafTree:
         """Add e; False if it was already present."""
         return _insert_direct(self, encode(e))
 
-    # -- the generator cores, for the schedule explorer -----------------------
-
-    def search_gen(self, e1: int, e2: Optional[int] = None):
-        e1, e2 = _range_args(e1, e2)
-        return _search(self, e1, e2)
-
-    def remove_gen(self, e1: int, e2: Optional[int] = None):
-        e1, e2 = _range_args(e1, e2)
-        return _remove(self, e1, e2)
-
-    def insert_gen(self, e: int):
-        return _insert(self, encode(e))
-
     # -- quiescent inspection (plain reads, no concurrency) -------------------
 
     def leaves(self):

@@ -82,8 +82,14 @@ class Violation:
     detail: str
 
     def __str__(self):
-        loc = f" [{self.record.line()}]" if self.record else ""
-        return f"{self.rule}: {self.detail}{loc}"
+        r = self.record
+        if r is None:
+            return f"{self.rule}: {self.detail}"
+        try:  # any 7 fields print as OpRecord.line, anything else by repr
+            loc = OpRecord._make(r).line()
+        except TypeError:
+            loc = repr(r)
+        return f"{self.rule}: {self.detail} [{loc}]"
 
 
 class SetOracle:
@@ -174,7 +180,12 @@ def _walk(records: Iterable, out: list) -> tuple:
     ins = {}
     rem = {}
     for r in records:
-        tid, kind, e1, e2, a, b, res = r
+        try:
+            tid, kind, e1, e2, a, b, res = r
+        except (TypeError, ValueError):
+            out.append(Violation("malformed-record", r,
+                                 "not a record of 7 fields"))
+            continue
         try:
             if not (type(tid) is type(e1) is type(e2) is type(a) is type(b)
                     is type(res) is int and a < b and 1 <= e1 <= e2
@@ -299,16 +310,16 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
 
     if not in_order:  # sort each thread's records and report overlaps
         by_tid: dict[int, list[OpRecord]] = {}
-        for r in sane:
-            by_tid.setdefault(r.tid, []).append(r)
+        for r in sane:  # a sane record may be a plain 7-tuple
+            by_tid.setdefault(r[0], []).append(r)
         for tid, rs in by_tid.items():
             rs.sort(key=_INTERVAL)
             for prev, cur in zip(rs, rs[1:]):
-                if cur.t1 < prev.t2:
+                if cur[4] < prev[5]:
                     out.append(Violation(
                         "overlapping-thread-ops", cur,
-                        f"thread {tid} invoked at {cur.t1} before "
-                        f"{prev.kind} responded at {prev.t2}"))
+                        f"thread {tid} invoked at {cur[4]} before "
+                        f"{prev[1]} responded at {prev[5]}"))
 
     windows, keys = _index(ins, rem)
     _rules(sane, ins, rem, windows, keys, out)

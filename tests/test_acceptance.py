@@ -19,7 +19,7 @@ from lftree.cli import main
 from lftree.harness import RunConfig, make_ops, run_stress
 from lftree.keyspace import RO_BIT
 from lftree.nodes import PREP, TreeConfig
-from lftree.tree import LeafTree
+from lftree.tree import LeafTree, _op
 from lftree.verify import (
     INSERT,
     REMOVE,
@@ -222,7 +222,7 @@ def test_criterion_7_progress_with_suspended_thread():
                        [(INSERT, k, k) for k in (10, 20, 30, 40)], records)],
         clock)
     leaf = next(iter(tree.leaves()))[0]
-    owner = sim.SimThread(tree.insert_gen(25))
+    owner = sim.SimThread(_op(tree, INSERT, 25, 25))
     sim.run_until(owner, lambda: all(w & RO_BIT for w in leaf.slots),
                   clock)
     if owner.done or tree.root.status[0][2] != PREP:

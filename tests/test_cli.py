@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from lftree import harness
+from lftree import cli, harness
 from lftree.cli import main
 from lftree.verify import OpRecord, SEARCH, write_trace
 
@@ -47,6 +47,11 @@ def test_unwritable_trace_path_exits_3_before_any_op(tmp_path, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ""  # no summary line
     assert "i/o error" in err
+
+
+def test_stress_defaults_are_the_run_config_defaults():
+    args = cli.build_parser().parse_args(["stress"])
+    assert cli._run_config(args) == harness.RunConfig()
 
 
 def test_check_flags_a_violating_trace(tmp_path, capsys):

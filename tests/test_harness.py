@@ -22,7 +22,7 @@ from lftree.harness import (
 )
 from lftree.keyspace import MAX_KEY
 from lftree.nodes import TreeConfig
-from lftree.tree import LeafTree
+from lftree.tree import LeafTree, _op
 from lftree.verify import INSERT, REMOVE, SEARCH, SetOracle, write_trace
 
 
@@ -213,10 +213,13 @@ def test_single_thread_write_path_is_pinned(cfg, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
-# sha256 over (results, rebalance records, snapshot, retired) of inserting
-# a shuffled 1..3000 (seed 1) and then removing them all: unlike the write
-# paths above, the drain reaches root shrink and internal merge and
-# redistribute. Taken before every reshape became one splice.
+# sha256 over (results, rebalance records, snapshot, unlinked nodes) of
+# inserting a shuffled 1..3000 (seed 1) and then removing them all: unlike
+# the write paths above, the drain reaches root shrink and internal merge
+# and redistribute. Each link swap unlinks the old parent plus the leaves
+# or internals it reshaped (one per input size); a root grow unlinks only
+# the old child of the root, a root shrink that child and its only child.
+# Taken before every reshape became one splice.
 FILL_DRAIN_DIGESTS = [
     (TreeConfig(3, 4, 2),
      "4ea6c2285b9a0f5a2a85467263d394f927170738d0f224be665ebc18c539a5d7"),
@@ -239,8 +242,9 @@ def test_fill_then_drain_is_pinned(cfg, digest):
     assert {(r.kind, r.action) for r in stats.records} >= {
         ("root", "shrink"), ("internal", "merge"),
         ("internal", "redistribute")}
+    unlinked = sum(len(r.inputs) + (r.kind != "root") for r in stats.records)
     blob = repr((results, [tuple(r) for r in stats.records],
-                 tree.snapshot(), stats.retired)).encode()
+                 tree.snapshot(), unlinked)).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
@@ -254,9 +258,9 @@ def test_fill_then_drain_settles_at_the_order_bound(cfg):
     random.Random(1).shuffle(shuffled)
     for keys in (range(1, n + 1), range(n, 0, -1), shuffled):
         tree = LeafTree(cfg)
-        for op, want in ((tree.insert_gen, True), (tree.remove_gen, None)):
+        for kind, want in ((INSERT, 1), (REMOVE, None)):
             for k in keys:
-                th = sim.SimThread(op(k))
+                th = sim.SimThread(_op(tree, kind, k, k))
                 sim.run_until(th, lambda: False, limit=20_000)
                 assert th.result == (k if want is None else want)
         assert tree.snapshot() == []
@@ -292,10 +296,9 @@ def test_duration_cycles_the_workload():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_retired_counts_every_unlinked_node(threads):
-    # each link swap unlinks the old parent plus the leaves or internals it
-    # reshaped (one per input size); a root grow unlinks only the old child
-    # of the root, a root shrink that child and its only child
+def test_link_swaps_record_every_reshape_kind(threads):
+    # one record per link swap, and the run reshapes leaves, internals and
+    # the root
     cfg = small(order=4, leaf_capacity=4, min_size=2, threads=threads,
                 ops_per_thread=3000, key_range=512, seed=21)
     result = run_stress(cfg)
@@ -304,8 +307,6 @@ def test_retired_counts_every_unlinked_node(threads):
     records = stats["records"]
     assert len(records) == stats["link_swaps"] > 0
     assert {r.kind for r in records} >= {"leaf", "internal", "root"}
-    assert stats["retired"] == sum(
-        len(r.inputs) + (r.kind != "root") for r in records)
 
 
 def test_summary_mentions_the_headline_numbers():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from lftree.keyspace import MAX_KEY
 from lftree.nodes import TreeConfig
-from lftree.tree import LeafTree
+from lftree.tree import LeafTree, _op
 from lftree.verify import INSERT, REMOVE, SEARCH, SetOracle
 from reference import PlainSetModel, build_flat
 
@@ -111,9 +111,9 @@ def test_non_int_keys_are_rejected(bad):
         "remove-lo": lambda: tree.remove(bad, 10),
         "remove-hi": lambda: tree.remove(1, bad),
         "remove-one": lambda: tree.remove(bad),
-        "insert-gen": lambda: tree.insert_gen(bad),
-        "search-gen": lambda: tree.search_gen(1, bad),
-        "remove-gen": lambda: tree.remove_gen(bad, 10),
+        "insert-op": lambda: next(_op(tree, INSERT, bad, bad)),
+        "search-op": lambda: next(_op(tree, SEARCH, 1, bad)),
+        "remove-op": lambda: next(_op(tree, REMOVE, bad, 10)),
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match="must be an int"):

@@ -16,7 +16,7 @@ from lftree import harness, sim
 from lftree.derive import STEPS
 from lftree.keyspace import RO_BIT
 from lftree.nodes import PREP, TreeConfig
-from lftree.tree import LeafTree
+from lftree.tree import LeafTree, _op
 from lftree.verify import INSERT, REMOVE, SEARCH, check_history
 
 
@@ -540,7 +540,7 @@ def test_round_robin_on_tree_operations_is_pinned():
                        [(INSERT, k, k) for k in (10, 20, 30, 40)], records)],
         clock))
     leaf = next(iter(tree.leaves()))[0]
-    owner = sim.SimThread(tree.insert_gen(25))
+    owner = sim.SimThread(_op(tree, INSERT, 25, 25))
     sim.run_until(owner, lambda: all(w & RO_BIT for w in leaf.slots), clock)
     assert not owner.done and tree.root.status[0][2] == PREP
     rng = random.Random(99)

@@ -8,7 +8,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lftree import sim, verify
@@ -87,14 +87,24 @@ class _RaisingKind:
     (OpRecord(0, INSERT, 2, 2, 0, 1, True), "result must be an int"),
     (OpRecord(True, INSERT, 2, 2, 0, 1, 1), "tid must be an int"),
     (OpRecord(0, _RaisingKind(), 1, 1, 0, 1, 0), "unknown kind"),
+    # a record that does not unpack into 7 fields is named, not raised
+    ((0, SEARCH, 1, 1, 0, 1), "not a record of 7 fields"),
+    (None, "not a record of 7 fields"),
+    # a plain tuple prints as an OpRecord does
+    ((0, SEARCH, 1, 1, 1, 0, 0), "not after invocation"),
 ], ids=["kind", "times", "range", "key-zero", "insert-range",
         "insert-result", "negative", "result-none", "key-str", "e2-str",
         "time-str", "time-none", "tid-list", "e1-float", "time-float",
-        "result-bool", "tid-bool", "kind-raises"])
+        "result-bool", "tid-bool", "kind-raises", "six-fields", "none",
+        "plain-tuple"])
 def test_malformed_records_are_flagged(record, detail):
     out = check_history([record])
     assert [v.rule for v in out] == ["malformed-record"]
     assert detail in out[0].detail
+    text = str(out[0])
+    assert text.startswith(f"malformed-record: {out[0].detail}")
+    if record is not None and len(record) == 7:
+        assert text.endswith(f" [{OpRecord(*record).line()}]")
 
 
 def test_malformed_record_does_not_poison_the_rest():
@@ -113,6 +123,12 @@ def test_overlapping_ops_on_one_thread():
         OpRecord(0, SEARCH, 1, 1, 5, 15, 0),
     ]
     assert rules(recs) == {"overlapping-thread-ops"}
+    # plain tuples out of thread order too: the order check reads fields by
+    # position, not by name
+    out = check_history([tuple(r) for r in reversed(recs)])
+    assert [str(v) for v in out] == [
+        "overlapping-thread-ops: thread 0 invoked at 5 before SEARCH "
+        "responded at 10 [0\tSEARCH\t1\t1\t5\t15\t0]"]
     # same interval on different threads is concurrency, not malformation
     recs[1] = OpRecord(1, SEARCH, 1, 1, 5, 15, 0)
     assert rules(recs) == set()
@@ -336,14 +352,22 @@ _SPANS = st.lists(st.tuples(st.integers(0, 60), st.integers(1, 12)),
 @given(ins=_SPANS, rem=_SPANS,
        calls=st.lists(st.tuples(st.integers(0, 80), st.integers(1, 20)),
                       min_size=1, max_size=12))
+# one insert of 7, invoked just as a remove of 7 responds: that remove
+# does not end it, so the single-insert path must find 7 certainly present
+# at the call
+@example(ins=[(5, 9)], rem=[(3, 5)], calls=[(10, 1)])
 def test_presence_index_matches_the_definitions(ins, rem, calls):
-    # each call is a made-up insert of 7 over (a, b): a successful one is
-    # faulted iff 7 is certainly present, a failed one iff not possibly
+    # each call is a made-up op on 7 over (a, b): a successful insert is
+    # faulted iff 7 is certainly present, a failed one iff not possibly,
+    # and a failed search iff certainly present, which it decides alone
+    # when the history holds a single insert of 7
     recs = ([OpRecord(0, INSERT, 7, 7, t1, t2, 1) for t1, t2 in ins]
             + [OpRecord(1, REMOVE, 1, 9, t1, t2, 7) for t1, t2 in rem])
     for a, d in calls:
-        for res in (1, 0):
-            hist = recs + [OpRecord(2, INSERT, 7, 7, a, a + d, res)]
+        for call in (OpRecord(2, INSERT, 7, 7, a, a + d, 1),
+                     OpRecord(2, INSERT, 7, 7, a, a + d, 0),
+                     OpRecord(2, SEARCH, 7, 7, a, a + d, 0)):
+            hist = recs + [call]
             assert check_history(hist) == \
                 reference.check_history_by_definition(hist)
 
