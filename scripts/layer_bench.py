@@ -1,5 +1,5 @@
 """Layer costs of lftree checkouts, side by side: the "leaf scan per D",
-"cell CAS", "sim step" and "history check" layers.
+"cell CAS", "sim step", "history check" and sequential oracle layers.
 
     python3 scripts/layer_bench.py [--passes 5] [CHECKOUT ...]
 
@@ -22,11 +22,14 @@ script, so every checkout is timed by the same harness. One process:
   snapshot_consistent, as explore-small does;
 - drives churn-k4's two op lists of seed 1, round 0 round robin over two
   op threads on one K=D=4, S=2 tree (5,000 records, no violation) and
-  REPS times checks that history with check_history.
+  REPS times checks that history with check_history;
+- REPS times builds a SetOracle over read-k32's 32,768-key prefill of
+  seed 1 and replays ORACLE_OPS ops of read-k32's stream of seed 1
+  through its `apply`, as read-k32's check does.
 
-Every timed piece, one leaf loop, one explored pair or one check of the
-large history, is scaled by the calibration kernel run right after it
-(perfbench/calibrate.py). Figures:
+Every timed piece, one leaf loop, one explored pair, one check of the
+large history or one oracle replay, is scaled by the calibration kernel
+run right after it (perfbench/calibrate.py). Figures:
 
   _find/_probe/_scan_ns_per_slot  ns per slot read (median over REPS)
   cas_ns_per_call      ns per successful cas (median over REPS)
@@ -43,6 +46,8 @@ large history, is scaled by the calibration kernel run right after it
   schedule_us          the whole explore time per schedule
   steps_per_schedule   clock steps per schedule, read from the clock at the
                        check (the prestate's steps included); not timed
+  oracle_ns_per_op     SetOracle.apply per op of the replay, the oracle's
+                       construction left out (median over REPS)
   _find/_probe_over_scan
                        the raw figure over the raw `_scan_ns_per_slot` of
                        the same rep (median over REPS): loops timed
@@ -89,6 +94,8 @@ RATIOS = {"_find_over_scan": "_find_ns_per_slot",
 EXPLORE_FIGURES = ("ns_per_step", "setup_us", "check_history_us",
                    "check_structure_us", "snapshot_us", "schedule_us")
 HISTORY_FIGURES = ("churn_check_us_per_record",)
+ORACLE_FIGURES = ("oracle_ns_per_op",)
+ORACLE_OPS = 20_000
 
 
 def calibrated() -> Calibrated:
@@ -257,6 +264,30 @@ def history_figures(cal: Calibrated) -> dict:
                                           statistics.median(us[1]))}
 
 
+def oracle_figures(cal: Calibrated) -> dict:
+    """{figure: (calibrated, raw)} of REPS replays of read-k32's op stream
+    through SetOracle.apply, each on a fresh oracle over its prefill."""
+    from lftree.verify import SetOracle
+    from workloads import READ_RANGE, _read_ops
+
+    prefill = random.Random(SEED).sample(range(1, READ_RANGE + 1),
+                                         READ_RANGE // 2)
+    ops = _read_ops(random.Random(SEED * 2 + 1), ORACLE_OPS, READ_RANGE)
+    ns = ([], [])
+    clock = time.perf_counter_ns
+    for _ in range(REPS):
+        apply = SetOracle(prefill).apply
+        t0 = clock()
+        for kind, e1, e2 in ops:
+            apply(kind, e1, e2)
+        raw = (clock() - t0) / len(ops)
+        f = cal.after()
+        ns[0].append(raw * f)
+        ns[1].append(raw)
+    return {"oracle_ns_per_op": (statistics.median(ns[0]),
+                                 statistics.median(ns[1]))}
+
+
 def one_pass(checkout: str) -> dict:
     """Every figure of one fresh process on the lftree of `checkout`."""
     sys.path.insert(0, os.path.join(checkout, "src"))
@@ -265,6 +296,7 @@ def one_pass(checkout: str) -> dict:
     explored, steps, schedules = explore_figures(cal)
     timed.update(explored)
     timed.update(history_figures(cal))
+    timed.update(oracle_figures(cal))
     return {"timed": timed, "ratios": ratios, "steps": steps,
             "schedules": schedules}
 
@@ -320,7 +352,8 @@ def main(argv=None) -> int:
                  "schedules_per_pass": first["schedules"],
                  "steps_per_schedule": round(
                      first["steps"] / first["schedules"], 4)}
-        for name in LEAF_FIGURES + EXPLORE_FIGURES + HISTORY_FIGURES:
+        for name in (LEAF_FIGURES + EXPLORE_FIGURES + HISTORY_FIGURES
+                     + ORACLE_FIGURES):
             entry[name] = _spread([r["timed"][name][0] for r in runs[root]])
             entry[name]["raw_median"] = round(statistics.median(
                 r["timed"][name][1] for r in runs[root]), 2)

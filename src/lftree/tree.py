@@ -27,7 +27,9 @@ with a scan of its own: a search wants only the smallest key in range
 slot (_probe), a remove the smallest key in range with its slot and word
 and the live key count (_scan). The range scans test a word against
 RO_BIT rather than masking it: below is a writable key (or empty at 0),
-RO_BIT itself is a dead slot, above is a frozen key.
+RO_BIT itself is a dead slot, above is a frozen key. _find tests a word
+against its bound first (e2 + 1, then the best key so far), never above
+RO_BIT, so no dead or frozen word passes it, then against e1.
 
 Removal tombstones the slot (read-only empty word) instead of zeroing it:
 the number of writable empty slots in a leaf only ever decreases, so two
@@ -336,13 +338,14 @@ def _descend(tree, key):
 def _find(leaf, e1, e2):
     """The smallest key in [e1, e2] in the leaf, frozen or not (a frozen
     match still proves presence during the call), else 0."""
+    # best <= MAX_KEY + 1 == RO_BIT, so no dead or frozen word is below it
     best = e2 + 1
     slots = leaf.slots
     for i in range(len(slots)):
         yield
         w = slots[i]
-        if w < RO_BIT:
-            if e1 <= w < best:  # an empty word, 0, is below e1
+        if w < best:  # a writable key, or an empty word, 0, below e1
+            if w >= e1:
                 best = w
         elif w > RO_BIT:  # frozen key; RO_BIT itself is a dead slot
             w ^= RO_BIT

@@ -92,45 +92,86 @@ class Violation:
         return f"{self.rule}: {self.detail} [{loc}]"
 
 
+# The oracle's block size: a block splits in two once it holds more than
+# twice this many keys.
+_BLOCK = 512
+
+
 class SetOracle:
     """Sequential reference semantics: a sorted set of keys where
-    search/remove answer the smallest key in range."""
+    search/remove answer the smallest key in range.
+
+    The keys are kept in order as a list of sorted, non-empty blocks of at
+    most 2 * _BLOCK keys each, and `_tops` holds each block's last key. A
+    call bisects `_tops` for the first block whose last key is >= e1, then
+    bisects inside that block. So an update costs two bisections and a
+    shift of at most 2 * _BLOCK keys, where one sorted list would shift
+    half of all n keys. Only a block that splits in two (an insert past
+    2 * _BLOCK keys) or empties (and is dropped) also shifts `_tops`, one
+    entry per block. An insert past the last key appends to the last
+    block."""
 
     def __init__(self, keys: Iterable[int] = ()):
-        self._keys = sorted(set(keys))
+        ordered = sorted(set(keys))
+        self._blocks = [ordered[i:i + _BLOCK]
+                        for i in range(0, len(ordered), _BLOCK)]
+        self._tops = [block[-1] for block in self._blocks]
 
     def search(self, e1: int, e2: Optional[int] = None) -> int:
-        e2 = e1 if e2 is None else e2
-        j = bisect_left(self._keys, e1)
-        if j < len(self._keys) and self._keys[j] <= e2:
-            return self._keys[j]
-        return 0
+        return self.apply(SEARCH, e1, e1 if e2 is None else e2)
 
     def remove(self, e1: int, e2: Optional[int] = None) -> int:
-        e2 = e1 if e2 is None else e2
-        j = bisect_left(self._keys, e1)
-        if j < len(self._keys) and self._keys[j] <= e2:
-            return self._keys.pop(j)
-        return 0
+        return self.apply(REMOVE, e1, e1 if e2 is None else e2)
 
     def insert(self, e: int) -> bool:
-        j = bisect_left(self._keys, e)
-        if j < len(self._keys) and self._keys[j] == e:
-            return False
-        self._keys.insert(j, e)
-        return True
+        return self.apply(INSERT, e, e) == 1
 
     def apply(self, kind: str, e1: int, e2: int) -> int:
-        if kind == SEARCH:
-            return self.search(e1, e2)
-        if kind == REMOVE:
-            return self.remove(e1, e2)
+        tops = self._tops
+        if kind == SEARCH or kind == REMOVE:
+            i = bisect_left(tops, e1)
+            if i == len(tops):
+                return 0
+            block = self._blocks[i]
+            j = bisect_left(block, e1)  # < len(block): its top is >= e1
+            key = block[j]
+            if key > e2:
+                return 0
+            if kind == REMOVE:
+                del block[j]
+                if not block:
+                    del self._blocks[i]
+                    del tops[i]
+                elif j == len(block):
+                    tops[i] = block[-1]
+            return key
         if kind == INSERT:
-            return 1 if self.insert(e1) else 0
+            blocks = self._blocks
+            i = bisect_left(tops, e1)
+            if i < len(tops):
+                block = blocks[i]
+                j = bisect_left(block, e1)
+                if block[j] == e1:
+                    return 0
+                block.insert(j, e1)
+            elif tops:  # past the last key
+                i -= 1
+                block = blocks[i]
+                block.append(e1)
+                tops[i] = e1
+            else:
+                blocks.append([e1])
+                tops.append(e1)
+                return 1
+            if len(block) > 2 * _BLOCK:
+                blocks.insert(i + 1, block[_BLOCK:])
+                del block[_BLOCK:]
+                tops.insert(i, block[-1])
+            return 1
         raise ValueError(f"unknown op kind: {kind!r}")
 
     def keys(self) -> list[int]:
-        return list(self._keys)
+        return [key for block in self._blocks for key in block]
 
 
 # --- history checking -------------------------------------------------------
@@ -364,13 +405,14 @@ def _malformed(tid, kind, e1, e2, t1, t2, result) -> str:
 def snapshot_consistent(records: list[OpRecord],
                         snapshot: list[int]) -> list[str]:
     """After quiesce, with the complete history: key in snapshot iff its
-    successful inserts outnumber its removes by exactly one."""
+    successful inserts outnumber its removes by exactly one. A record is
+    read by position, so it may be an OpRecord or a plain 7-tuple."""
     net: dict[int, int] = {}
-    for r in records:
-        if r.kind == INSERT and r.result == 1:
-            net[r.e1] = net.get(r.e1, 0) + 1
-        elif r.kind == REMOVE and r.result > 0:
-            net[r.result] = net.get(r.result, 0) - 1
+    for _, kind, e1, _, _, _, result in records:
+        if kind == INSERT and result == 1:
+            net[e1] = net.get(e1, 0) + 1
+        elif kind == REMOVE and result > 0:
+            net[result] = net.get(result, 0) - 1
     problems = []
     snap = set(snapshot)
     if len(snap) != len(snapshot):
@@ -394,17 +436,19 @@ def progress_audit(records: list[OpRecord], window: int,
     longer than `window` during which ops were in flight but none
     responded. Returns the number of findings and the reports of the
     first `keep`: slow ops in record order, then silent spans in time
-    order. Only the kept reports are formatted."""
+    order. Only the kept reports are formatted. A record is read by
+    position, so it may be an OpRecord or a plain 7-tuple."""
     reports = []
     count = 0
     for r in records:
-        if r.t2 - r.t1 > window:
+        ran = r[5] - r[4]
+        if ran > window:
             if count < keep:
-                reports.append(
-                    f"op ran {r.t2 - r.t1} > {window}: {r.line()}")
+                reports.append(f"op ran {ran} > {window}: "
+                               f"{OpRecord._make(r).line()}")
             count += 1
-    responses = sorted(r.t2 for r in records)
-    spans = sorted((r.t1, r.t2) for r in records)
+    responses = sorted(r[5] for r in records)
+    spans = sorted(map(_INTERVAL, records))
     # the gaps come in order of their start a, so one sweep over the spans
     # by t1 keeps the latest response of every op invoked by a
     j, latest = 0, float("-inf")

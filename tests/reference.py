@@ -9,8 +9,8 @@ history checker's rules over them, builders that assemble exact tree
 shapes node by node, a leaf scan read off the word layout, a gap-by-gap
 starvation screen, a schedule enumerator that replays every prefix from
 scratch, round-robin and seeded drivers that take every step one at a
-time, the structure check as a recursive walk, and the stress workload
-drawn through Random.randint.
+time, the structure check as a recursive walk, the stress workload drawn
+through Random.randint, and the sequential oracle on one sorted list.
 """
 
 from __future__ import annotations
@@ -47,6 +47,47 @@ class PlainSetModel:
             self.keys.add(e1)
             return 1
         raise ValueError(kind)
+
+
+class SortedListOracle:
+    """verify.SetOracle's public behaviour on one sorted list, which every
+    insert and remove shifts: the model its blocks are tested against."""
+
+    def __init__(self, keys=()):
+        self._keys = sorted(set(keys))
+
+    def search(self, e1: int, e2=None) -> int:
+        e2 = e1 if e2 is None else e2
+        j = bisect_left(self._keys, e1)
+        if j < len(self._keys) and self._keys[j] <= e2:
+            return self._keys[j]
+        return 0
+
+    def remove(self, e1: int, e2=None) -> int:
+        e2 = e1 if e2 is None else e2
+        j = bisect_left(self._keys, e1)
+        if j < len(self._keys) and self._keys[j] <= e2:
+            return self._keys.pop(j)
+        return 0
+
+    def insert(self, e: int) -> bool:
+        j = bisect_left(self._keys, e)
+        if j < len(self._keys) and self._keys[j] == e:
+            return False
+        self._keys.insert(j, e)
+        return True
+
+    def apply(self, kind: str, e1: int, e2: int) -> int:
+        if kind == SEARCH:
+            return self.search(e1, e2)
+        if kind == REMOVE:
+            return self.remove(e1, e2)
+        if kind == INSERT:
+            return 1 if self.insert(e1) else 0
+        raise ValueError(f"unknown op kind: {kind!r}")
+
+    def keys(self) -> list:
+        return list(self._keys)
 
 
 def split_sizes(a: int) -> tuple:

@@ -1,6 +1,7 @@
 """scripts/layer_bench.py: the explore-small pass it times keeps its step
-structure, the leaf pass reports every figure and ratio, and the large
-history is the one its docstring names."""
+structure, the leaf pass reports every figure and ratio, the large
+history is the one its docstring names, and the oracle pass replays
+read-k32's stream."""
 
 import importlib.util
 import os
@@ -44,5 +45,13 @@ def test_large_history_is_churn_k4s_round_robin():
     assert {r.tid for r in records} == {0, 1}
     figures = bench.history_figures(bench.calibrated())
     assert set(figures) == set(bench.HISTORY_FIGURES)
+    for name, (calibrated, raw) in figures.items():
+        assert calibrated > 0 and raw > 0, name
+
+
+def test_oracle_pass_replays_read_k32s_stream():
+    bench = _bench()
+    figures = bench.oracle_figures(bench.calibrated())
+    assert set(figures) == set(bench.ORACLE_FIGURES)
     for name, (calibrated, raw) in figures.items():
         assert calibrated > 0 and raw > 0, name

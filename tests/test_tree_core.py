@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lftree import sim
@@ -187,6 +187,12 @@ _words = st.one_of(st.just(EMPTY), st.just(DEAD), _keys,
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_words, min_size=4, max_size=64), _keys, _keys)
+# e2 = MAX_KEY puts _find's bound at MAX_KEY + 1 == RO_BIT == DEAD: a dead
+# word and a frozen MAX_KEY must still not pass as writable keys below it
+@example([DEAD, RO_BIT | MAX_KEY, EMPTY, DEAD], MAX_KEY, MAX_KEY)
+@example([RO_BIT | MAX_KEY, DEAD, EMPTY, MAX_KEY - 1], MIN_KEY, MAX_KEY)
+@example([DEAD, EMPTY, RO_BIT | MAX_KEY, MAX_KEY], MAX_KEY - 1, MAX_KEY)
+@example([DEAD, DEAD, EMPTY, DEAD], MIN_KEY, MAX_KEY)
 def test_leaf_scans_match_the_word_layout(words, a, b):
     e1, e2 = min(a, b), max(a, b)
     leaf = LeafNode(len(words), words)

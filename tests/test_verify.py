@@ -57,6 +57,64 @@ def test_oracle_range_answers_smallest():
         o.apply("DROP", 1, 1)
 
 
+_FILL = (INSERT,) * 8 + (SEARCH, REMOVE)
+_DRAIN = (REMOVE,) * 8 + (SEARCH, INSERT)
+
+
+def _oracle_call(rng, key_range, kinds):
+    """One random call, (method, arguments), of a kind drawn from `kinds`:
+    through apply or the method of its kind, over a narrow span or one
+    that reaches the end of the key range."""
+    e1 = rng.randint(1, key_range)
+    if rng.random() < 0.5:
+        e2 = min(key_range, e1 + rng.randint(0, 8))
+    else:
+        e1, e2 = rng.choice((1, e1)), key_range
+    kind = rng.choice(kinds)
+    if kind == INSERT:
+        e2 = e1
+    if rng.random() < 0.5:
+        return "apply", (kind, e1, e2)
+    if kind == INSERT:
+        return "insert", (e1,)
+    return kind.lower(), (e1,) if e1 == e2 else (e1, e2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 40]),
+       st.booleans())
+def test_block_oracle_matches_the_sorted_list(seed, spread, prefilled):
+    # past 3 * 2 * _BLOCK keys, so blocks split, then drained to empty and
+    # refilled; keys spread over `spread` times the peak size
+    rng = random.Random(seed)
+    peak = 3 * 2 * verify._BLOCK + rng.randint(1, verify._BLOCK)
+    key_range = spread * peak
+    start = rng.sample(range(1, key_range + 1), peak // 2) if prefilled \
+        else []
+    got, want = SetOracle(start), reference.SortedListOracle(start)
+    blocks = len(got._blocks)
+
+    def call(method, args):
+        assert getattr(got, method)(*args) == getattr(want, method)(*args), \
+            (method, args)
+
+    for kinds, until in ((_FILL, lambda: len(want._keys) > peak),
+                         (_DRAIN, lambda: not want._keys),
+                         (_FILL, lambda: len(want._keys) > peak // 2)):
+        n = 0
+        while not until():
+            call(*_oracle_call(rng, key_range, kinds))
+            blocks = max(blocks, len(got._blocks))
+            n += 1
+            if n % 97 == 0:
+                assert got.keys() == want.keys()
+        assert got.keys() == want.keys()
+        # every block non-empty and within its bound, its top its last key
+        assert all(0 < len(b) <= 2 * verify._BLOCK for b in got._blocks)
+        assert got._tops == [b[-1] for b in got._blocks]
+    assert blocks > 3
+
+
 # --- malformed records --------------------------------------------------
 
 
@@ -643,6 +701,31 @@ def test_progress_audit_formats_only_the_kept_reports(monkeypatch):
                         lambda r: lines.append(r) or line(r))
     assert progress_audit(records, 1, keep=10) == (len(want), want[:10])
     assert len(lines) == 10
+
+
+def test_plain_tuples_are_screened_like_records():
+    # check_history takes plain 7-tuples; the snapshot and progress screens
+    # read records by position too, with the same findings
+    cfg = RunConfig(order=4, leaf_capacity=4, min_size=2, threads=2,
+                    ops_per_thread=300, key_range=64, seed=5)
+    tree = LeafTree(TreeConfig(4, 4, 2))
+    clock = sim.Clock()
+    records = []
+    sim.run_round_robin([sim.op_thread(tree, clock, tid, make_ops(cfg, tid),
+                                       records) for tid in range(2)], clock)
+    tuples = [tuple(r) for r in records]
+    assert type(tuples[0]) is tuple and check_history(tuples) == []
+    snap = tree.snapshot()
+    for snapshot in (snap, [], snap + [10**6], snap[1:] + snap[:1] * 2):
+        want = snapshot_consistent(records, snapshot)
+        assert snapshot_consistent(tuples, snapshot) == want
+        assert (want == []) == (snapshot is snap)
+    for window in (1, 8, 10**9):
+        for keep in (0, 10):
+            want = reference.progress_audit_by_scan(records, window)
+            assert progress_audit(tuples, window, keep) == (
+                progress_audit(records, window, keep)) == (
+                len(want), want[:keep])
 
 
 # --- trace files --------------------------------------------------------
