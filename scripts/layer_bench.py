@@ -1,5 +1,6 @@
 """Layer costs of lftree checkouts, side by side: the "leaf scan per D",
-"cell CAS", "sim step", "history check" and sequential oracle layers.
+"cell CAS", "rebalance per action", "sim step", "history check" and
+sequential oracle layers.
 
     python3 scripts/layer_bench.py [--passes 5] [CHECKOUT ...]
 
@@ -17,6 +18,12 @@ script, so every checkout is timed by the same harness. One process:
   remove), then `cells.cas` over every slot of those leaves, each CAS a
   success that writes back the value it found. The CAS loop runs leaf by
   leaf, each leaf's CASes timed right after a `_scan` of the same leaf;
+- REPS times, for each reshape, builds REBALANCE_TREES trees and times
+  the yield-free `rebalance.trigger` that reshapes the first leaf of each
+  (the root's child is the grandparent, over the leaf's parent and one
+  more internal node). The reshapes are a split of a full leaf and a
+  redistribute of a leaf of S keys with a full sibling at churn-k4's
+  K=D=4, S=2, and a split of a full leaf at read-k32's K=D=32, S=8;
 - explores explore-small's 60 pairs at step bound 8 (15,360 schedules) and
   checks every schedule with check_history, check_structure and
   snapshot_consistent, as explore-small does;
@@ -27,12 +34,16 @@ script, so every checkout is timed by the same harness. One process:
   seed 1 and replays ORACLE_OPS ops of read-k32's stream of seed 1
   through its `apply`, as read-k32's check does.
 
-Every timed piece, one leaf loop, one explored pair, one check of the
-large history or one oracle replay, is scaled by the calibration kernel
-run right after it (perfbench/calibrate.py). Figures:
+Every timed piece, one leaf loop, one batch of rebalances, one explored
+pair, one check of the large history or one oracle replay, is scaled by
+the calibration kernel run right after it (perfbench/calibrate.py).
+Figures:
 
   _find/_probe/_scan_ns_per_slot  ns per slot read (median over REPS)
   cas_ns_per_call      ns per successful cas (median over REPS)
+  leaf_split_us, leaf_redistribute_us, leaf_split32_us
+                       us per rebalance, advertisement to clear (median
+                       over REPS)
   churn_check_us_per_record
                        check_history per record of the large history
                        (median over REPS); check_history_us below is the
@@ -91,6 +102,13 @@ LEAF_FIGURES = ("_find_ns_per_slot", "_probe_ns_per_slot",
 RATIOS = {"_find_over_scan": "_find_ns_per_slot",
           "_probe_over_scan": "_probe_ns_per_slot",
           "cas_over_scan": "cas_ns_per_call"}
+# figure -> (order, leaf capacity, min size, the parent's leaves' key
+# counts, action); the first leaf is the one reshaped
+REBALANCES = {"leaf_split_us": (4, 4, 2, (4, 3, 3), "split"),
+              "leaf_redistribute_us": (4, 4, 2, (2, 4, 3), "redistribute"),
+              "leaf_split32_us": (32, 32, 8, (32,) + (16,) * 15, "split")}
+REBALANCE_FIGURES = tuple(REBALANCES)
+REBALANCE_TREES = 64
 EXPLORE_FIGURES = ("ns_per_step", "setup_us", "check_history_us",
                    "check_structure_us", "snapshot_us", "schedule_us")
 HISTORY_FIGURES = ("churn_check_us_per_record",)
@@ -168,6 +186,58 @@ def leaf_figures(cal: Calibrated) -> tuple:
               for ratio, name in RATIOS.items()}
     return ({name: (statistics.median(c), statistics.median(r))
              for name, (c, r) in ns.items()}, ratios)
+
+
+def _rebalance_tree(cfg, sizes: tuple) -> tuple:
+    """(tree, grandparent): the root's child is the grandparent, over a
+    parent whose leaves hold `sizes` keys and an internal node over two
+    leaves of S keys."""
+    from lftree import LeafTree
+    from lftree.nodes import InternalNode, LeafNode
+
+    D, S = cfg.leaf_capacity, cfg.min_size
+    runs, k = [], 0
+    for n in sizes + (S, S):
+        runs.append(list(range(k + 1, k + n + 1)))
+        k += 2 * D
+    leaves = [LeafNode(D, keys) for keys in runs]
+    seps = [keys[-1] for keys in runs[:-1]]
+    parent = InternalNode(leaves[:-2], seps[:len(sizes) - 1])
+    other = InternalNode(leaves[-2:], seps[-1:])
+    grand = InternalNode([parent, other], [seps[len(sizes) - 1]])
+    tree = LeafTree(cfg)
+    tree.root.children[0] = grand
+    return tree, grand
+
+
+def rebalance_figures(cal: Calibrated) -> dict:
+    """{figure: (calibrated, raw)} of the yield-free rebalances, each on a
+    tree built for it."""
+    from lftree import TreeConfig
+    from lftree import tree as tree_mod
+
+    trigger = tree_mod._direct.rb.trigger
+    us = {name: ([], []) for name in REBALANCE_FIGURES}
+    clock = time.perf_counter_ns
+    for _ in range(REPS):
+        for name, (K, D, S, sizes, action) in REBALANCES.items():
+            cfg = TreeConfig(K, D, S)
+            trees = [_rebalance_tree(cfg, sizes)
+                     for _ in range(REBALANCE_TREES)]
+            t0 = clock()
+            for tree, grand in trees:
+                trigger(tree, grand, 1)
+            raw = (clock() - t0) / len(trees) / 1e3
+            f = cal.after()
+            for tree, _ in trees:
+                recs = tree.stats.records
+                if [(r.action, r.preserved) for r in recs] != [(action,
+                                                               True)]:
+                    raise SystemExit(f"{name}: records {recs}")
+            us[name][0].append(raw * f)
+            us[name][1].append(raw)
+    return {name: (statistics.median(c), statistics.median(r))
+            for name, (c, r) in us.items()}
 
 
 def explore_figures(cal: Calibrated) -> tuple:
@@ -293,6 +363,7 @@ def one_pass(checkout: str) -> dict:
     sys.path.insert(0, os.path.join(checkout, "src"))
     cal = calibrated()
     timed, ratios = leaf_figures(cal)
+    timed.update(rebalance_figures(cal))
     explored, steps, schedules = explore_figures(cal)
     timed.update(explored)
     timed.update(history_figures(cal))
@@ -352,8 +423,8 @@ def main(argv=None) -> int:
                  "schedules_per_pass": first["schedules"],
                  "steps_per_schedule": round(
                      first["steps"] / first["schedules"], 4)}
-        for name in (LEAF_FIGURES + EXPLORE_FIGURES + HISTORY_FIGURES
-                     + ORACLE_FIGURES):
+        for name in (LEAF_FIGURES + REBALANCE_FIGURES + EXPLORE_FIGURES
+                     + HISTORY_FIGURES + ORACLE_FIGURES):
             entry[name] = _spread([r["timed"][name][0] for r in runs[root]])
             entry[name]["raw_median"] = round(statistics.median(
                 r["timed"][name][1] for r in runs[root]), 2)

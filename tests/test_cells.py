@@ -95,22 +95,19 @@ def test_cas_status_leaves_its_stripe_unlocked():
 
 
 class _Refuses(list):
-    """A counter or record list whose update fails."""
-
-    def __iadd__(self, other):
-        raise RuntimeError("no update")
+    """A stats list whose append fails."""
 
     def append(self, item):
         raise RuntimeError("no update")
 
 
-@pytest.mark.parametrize("field", ["begins", "records", "clears"])
-def test_rebalance_stats_lock_is_released_when_an_update_raises(field):
-    # a begin counts under the stats lock, a link swap appends its record
-    # and a clear counts; the fifth insert splits the first leaf
+@pytest.mark.parametrize("field", ["begun", "records", "cleared"])
+def test_a_stats_append_that_raises_leaves_every_stripe_unlocked(field):
+    # a begin appends to `begun`, a link swap its record and a clear
+    # whether it helped; the fifth insert splits the first leaf
     tree = LeafTree(TreeConfig(4, 4, 2))
     setattr(tree.stats, field, _Refuses())
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="no update"):
         for k in range(1, 6):
             tree.insert(k)
-    assert not tree.stats.lock.locked()
+    assert not any(lock.locked() for lock in cells._LOCKS)

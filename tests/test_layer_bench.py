@@ -1,7 +1,7 @@
 """scripts/layer_bench.py: the explore-small pass it times keeps its step
-structure, the leaf pass reports every figure and ratio, the large
-history is the one its docstring names, and the oracle pass replays
-read-k32's stream."""
+structure, the leaf pass reports every figure and ratio, the rebalance
+pass times every action it names, the large history is the one its
+docstring names, and the oracle pass replays read-k32's stream."""
 
 import importlib.util
 import os
@@ -53,5 +53,14 @@ def test_oracle_pass_replays_read_k32s_stream():
     bench = _bench()
     figures = bench.oracle_figures(bench.calibrated())
     assert set(figures) == set(bench.ORACLE_FIGURES)
+    for name, (calibrated, raw) in figures.items():
+        assert calibrated > 0 and raw > 0, name
+
+
+def test_rebalance_pass_times_every_action():
+    bench = _bench()
+    figures = bench.rebalance_figures(bench.calibrated())
+    assert set(figures) == set(bench.REBALANCE_FIGURES) == {
+        "leaf_split_us", "leaf_redistribute_us", "leaf_split32_us"}
     for name, (calibrated, raw) in figures.items():
         assert calibrated > 0 and raw > 0, name

@@ -204,7 +204,7 @@ def test_freeze_abandons_on_stale_status():
 def test_stats_counters_track_one_rebalance():
     cfg = TreeConfig(3, 4, 2)
     tree = build_flat(cfg, [[10, 20, 30, 40], [90]])
-    assert tree.stats.begins == 0
+    assert tree.stats.snapshot()["begins"] == 0
     _trigger(tree, 10)
     snap = tree.stats.snapshot()
     assert snap["begins"] == 1

@@ -685,8 +685,8 @@ def test_op_threads_stepped_by_a_drained_generator_are_stepped():
     assert [r.tid for r in records] != sorted(r.tid for r in records)
 
 
-class _RefusingLock:
-    def acquire(self):
+class _RefusingList(list):
+    def append(self, item):
         raise RuntimeError("refused")
 
 
@@ -695,7 +695,7 @@ def test_an_op_that_raises_leaves_the_stepped_count():
     # would count the begin, mid-op, many steps into the insert.
     def run(finish):
         tree = LeafTree(_SMALL)
-        tree.stats.lock = _RefusingLock()
+        tree.stats.begun = _RefusingList()
         clock = sim.Clock()
         records = []
         th = sim.SimThread(sim.op_thread(
