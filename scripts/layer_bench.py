@@ -1,6 +1,6 @@
 """Layer costs of lftree checkouts, side by side: the "leaf scan per D",
-"cell CAS", "rebalance per action", "sim step", "history check" and
-sequential oracle layers.
+"cell CAS", "descent per level", "rebalance per action", "sim step",
+"history check" and sequential oracle layers.
 
     python3 scripts/layer_bench.py [--passes 5] [CHECKOUT ...]
 
@@ -18,6 +18,10 @@ script, so every checkout is timed by the same harness. One process:
   remove), then `cells.cas` over every slot of those leaves, each CAS a
   success that writes back the value it found. The CAS loop runs leaf by
   leaf, each leaf's CASes timed right after a `_scan` of the same leaf;
+- REPS times, times the yield-free `_descend` to DESCENTS keys drawn from
+  the key range, on that tree and on the K=D=4, S=2 tree that churn-k4's
+  round robin below leaves, after one untimed pass over the same keys (a
+  timed descent that triggers a rebalance fails the run);
 - REPS times, for each reshape, builds REBALANCE_TREES trees and times
   the yield-free `rebalance.trigger` that reshapes the first leaf of each
   (the root's child is the grandparent, over the leaf's parent and one
@@ -41,6 +45,10 @@ Figures:
 
   _find/_probe/_scan_ns_per_slot  ns per slot read (median over REPS)
   cas_ns_per_call      ns per successful cas (median over REPS)
+  descent_ns_per_level, descent4_ns_per_level
+                       ns per internal level a descent walks, the root's
+                       step included, on read-k32's tree and on the churn
+                       tree (median over REPS)
   leaf_split_us, leaf_redistribute_us, leaf_split32_us
                        us per rebalance, advertisement to clear (median
                        over REPS)
@@ -69,7 +77,8 @@ Figures:
                        in the same rep (median over REPS): both loops see
                        the same stretch of machine time
 
-Prints one JSON line: per checkout, its commit, the schedules per pass, for
+Prints one JSON line: per checkout, its commit, the schedules per pass, the
+levels of the two descent trees, for
 each timed figure the median and quartiles over the passes of its
 calibrated value with the median of its raw value beside them, and for each
 ratio its median and quartiles over the passes. Exits 1 when an explored
@@ -108,6 +117,8 @@ REBALANCES = {"leaf_split_us": (4, 4, 2, (4, 3, 3), "split"),
               "leaf_redistribute_us": (4, 4, 2, (2, 4, 3), "redistribute"),
               "leaf_split32_us": (32, 32, 8, (32,) + (16,) * 15, "split")}
 REBALANCE_FIGURES = tuple(REBALANCES)
+DESCENT_FIGURES = ("descent_ns_per_level", "descent4_ns_per_level")
+DESCENTS = 2048
 REBALANCE_TREES = 64
 EXPLORE_FIGURES = ("ns_per_step", "setup_us", "check_history_us",
                    "check_structure_us", "snapshot_us", "schedule_us")
@@ -126,14 +137,12 @@ def calibrated() -> Calibrated:
 def leaf_figures(cal: Calibrated) -> tuple:
     """({figure: (calibrated, raw)}, {ratio: value}) of the leaf scans and
     the CAS."""
-    from lftree import LeafTree, cells
+    from lftree import cells
     from lftree import tree as tree_mod
-    from workloads import READ_CFG, READ_RANGE, READ_WIDTH
+    from workloads import READ_RANGE, READ_WIDTH
 
     rng = random.Random(SEED)
-    tree = LeafTree(READ_CFG)
-    for k in rng.sample(range(1, READ_RANGE + 1), READ_RANGE // 2):
-        tree.insert(k)
+    tree = read_tree(rng)
     pairs = []
     for leaf, lo, hi in tree.leaves():
         e1 = rng.randint(max(1, lo - READ_WIDTH), hi)
@@ -186,6 +195,52 @@ def leaf_figures(cal: Calibrated) -> tuple:
               for ratio, name in RATIOS.items()}
     return ({name: (statistics.median(c), statistics.median(r))
              for name, (c, r) in ns.items()}, ratios)
+
+
+def read_tree(rng: random.Random):
+    """read-k32's prefilled K=D=32, S=8 tree, its keys drawn from `rng`."""
+    from lftree import LeafTree
+    from workloads import READ_CFG, READ_RANGE
+
+    tree = LeafTree(READ_CFG)
+    for k in rng.sample(range(1, READ_RANGE + 1), READ_RANGE // 2):
+        tree.insert(k)
+    return tree
+
+
+def descent_figures(cal: Calibrated) -> tuple:
+    """({figure: (calibrated, raw)}, {figure: levels}) of the yield-free
+    descents on read-k32's tree and on the churn tree."""
+    from lftree import tree as tree_mod
+    from workloads import READ_RANGE, churn_config
+
+    trees = {"descent_ns_per_level": (read_tree(random.Random(SEED)),
+                                      READ_RANGE),
+             "descent4_ns_per_level": (churn_run()[0],
+                                       churn_config(SEED, 0).key_range)}
+    descend = tree_mod._direct._descend
+    ns, levels = {}, {}
+    clock = time.perf_counter_ns
+    for name, (tree, key_range) in trees.items():
+        rng = random.Random(SEED)
+        keys = [rng.randint(1, key_range) for _ in range(DESCENTS)]
+        for key in keys:  # settle any reshape a descent would trigger
+            descend(tree, key)
+        swaps = len(tree.stats.records)
+        levels[name] = tree.height()
+        c, r = [], []
+        for _ in range(REPS):
+            t0 = clock()
+            for key in keys:
+                descend(tree, key)
+            raw = (clock() - t0) / (len(keys) * levels[name])
+            f = cal.after()
+            c.append(raw * f)
+            r.append(raw)
+        if len(tree.stats.records) != swaps:
+            raise SystemExit(f"{name}: a timed descent rebalanced")
+        ns[name] = (statistics.median(c), statistics.median(r))
+    return ns, levels
 
 
 def _rebalance_tree(cfg, sizes: tuple) -> tuple:
@@ -298,9 +353,9 @@ def explore_figures(cal: Calibrated) -> tuple:
              for name, (c, r) in sums.items()}, steps, schedules)
 
 
-def churn_history() -> list:
+def churn_run() -> tuple:
     """churn-k4's two op lists of seed 1, round 0, round robin over two op
-    threads on one K=D=4, S=2 tree: the records."""
+    threads on one K=D=4, S=2 tree: (the tree, the records)."""
     from lftree import LeafTree, TreeConfig, harness, sim
     from workloads import churn_config
 
@@ -311,14 +366,14 @@ def churn_history() -> list:
     sim.run_round_robin([sim.op_thread(tree, clock, tid,
                                        harness.make_ops(cfg, tid), records)
                          for tid in range(2)], clock)
-    return records
+    return tree, records
 
 
 def history_figures(cal: Calibrated) -> dict:
     """{figure: (calibrated, raw)} of REPS checks of the large history."""
     from lftree.verify import check_history
 
-    records = churn_history()
+    records = churn_run()[1]
     us = ([], [])
     for _ in range(REPS):
         t0 = time.perf_counter()
@@ -363,13 +418,15 @@ def one_pass(checkout: str) -> dict:
     sys.path.insert(0, os.path.join(checkout, "src"))
     cal = calibrated()
     timed, ratios = leaf_figures(cal)
+    descents, levels = descent_figures(cal)
+    timed.update(descents)
     timed.update(rebalance_figures(cal))
     explored, steps, schedules = explore_figures(cal)
     timed.update(explored)
     timed.update(history_figures(cal))
     timed.update(oracle_figures(cal))
     return {"timed": timed, "ratios": ratios, "steps": steps,
-            "schedules": schedules}
+            "schedules": schedules, "levels": levels}
 
 
 def _commit(checkout: str) -> str:
@@ -422,9 +479,10 @@ def main(argv=None) -> int:
         entry = {"path": root, "commit": _commit(root),
                  "schedules_per_pass": first["schedules"],
                  "steps_per_schedule": round(
-                     first["steps"] / first["schedules"], 4)}
-        for name in (LEAF_FIGURES + REBALANCE_FIGURES + EXPLORE_FIGURES
-                     + HISTORY_FIGURES + ORACLE_FIGURES):
+                     first["steps"] / first["schedules"], 4),
+                 "descent_levels": first["levels"]}
+        for name in (LEAF_FIGURES + DESCENT_FIGURES + REBALANCE_FIGURES
+                     + EXPLORE_FIGURES + HISTORY_FIGURES + ORACLE_FIGURES):
             entry[name] = _spread([r["timed"][name][0] for r in runs[root]])
             entry[name]["raw_median"] = round(statistics.median(
                 r["timed"][name][1] for r in runs[root]), 2)

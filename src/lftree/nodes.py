@@ -107,6 +107,30 @@ class InternalNode:
 node_search = bisect_left
 
 
+# new_tree_root and rebalance.py's plans make each fresh node's lists
+# themselves, so they skip the constructors' copies, length check and
+# padding.
+_new = object.__new__
+
+
+def fresh_leaf(slots: list) -> LeafNode:
+    """A leaf over `slots`: a new list of exactly D words, which the leaf
+    takes as it is."""
+    leaf = _new(LeafNode)
+    leaf.slots = slots
+    return leaf
+
+
+def fresh_internal(children: list, separators: tuple) -> InternalNode:
+    """An idle internal node over `children`, a new list that it takes as
+    it is, split by the tuple `separators`, one shorter."""
+    node = _new(InternalNode)
+    node.separators = separators
+    node.children = children
+    node.status = [STATUS_IDLE]
+    return node
+
+
 def new_tree_root(config: TreeConfig) -> InternalNode:
     """Permanent root -> one internal child -> one empty leaf.
 
@@ -114,6 +138,5 @@ def new_tree_root(config: TreeConfig) -> InternalNode:
     single child link. The child starts as an internal node so every leaf
     always has both a parent and a grandparent.
     """
-    leaf = LeafNode(config.leaf_capacity)
-    inner = InternalNode([leaf])
-    return InternalNode([inner])
+    leaf = fresh_leaf([EMPTY] * config.leaf_capacity)
+    return fresh_internal([fresh_internal([leaf], ())], ())

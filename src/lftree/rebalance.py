@@ -47,8 +47,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cells import cas
-from .keyspace import DEAD, RO_BIT
-from .nodes import FROZEN, IDLE, PREP, SWAP, InternalNode, LeafNode, node_search
+from .keyspace import DEAD, EMPTY, RO_BIT
+from .nodes import (FROZEN, IDLE, PREP, SWAP, InternalNode, LeafNode,
+                    fresh_internal, fresh_leaf, node_search)
 
 SPLIT = "split"
 MERGE = "merge"
@@ -337,7 +338,9 @@ def _plan_leaf(tree, grand, live, parent, pvals, ju):
             return None
         skeys = live_keys(swords)
         b = len(skeys)
-        keys = sorted(keys + skeys)
+        # adjacent leaves hold their keys in leaf order, so the two sorted
+        # lists joined in that order are sorted
+        keys = keys + skeys if js > ju else skeys + keys
         lo, hi = min(ju, js), max(ju, js)
         inputs = (a, b)
         band_min = min(2 * S, D // 2)
@@ -392,7 +395,7 @@ def _plan_shrink(tree, grand, live, only):
     if not ok:
         return None
     vals = yield from _links(only)
-    dropped = InternalNode(vals, only.separators)
+    dropped = fresh_internal(vals, only.separators)
     # not a splice: final stays False even when `only` has a single child
     rec = _new_tuple(RebalanceRecord, (
         "root", SHRINK, (1, len(vals)), (len(vals),), False,
@@ -407,8 +410,8 @@ def _splice(parent, pvals, lo, hi, new, seps) -> InternalNode:
     """The frozen parent with its children lo..hi replaced by `new`, split
     by `seps`: every reshape builds its replacement parent this way."""
     old = parent.separators
-    return InternalNode(pvals[:lo] + new + pvals[hi + 1:],
-                        old[:lo] + seps + old[hi:])
+    return fresh_internal(pvals[:lo] + new + pvals[hi + 1:],
+                          old[:lo] + seps + old[hi:])
 
 
 def _halve_leaf(capacity: int, keys):
@@ -417,22 +420,24 @@ def _halve_leaf(capacity: int, keys):
     frozen words: valid keys, already in their word form."""
     t = len(keys)
     if t < capacity:
-        return [LeafNode(capacity, keys)], (), (t,)
+        return [fresh_leaf(keys + [EMPTY] * (capacity - t))], (), (t,)
     h = (t + 1) // 2
-    left, right = keys[:h], keys[h:]
-    return ([LeafNode(capacity, left), LeafNode(capacity, right)],
-            (left[-1],), (h, t - h))
+    return ([fresh_leaf(keys[:h] + [EMPTY] * (capacity - h)),
+             fresh_leaf(keys[h:] + [EMPTY] * (capacity - t + h))],
+            (keys[h - 1],), (h, t - h))
 
 
 def _halve_internal(order: int, vals, seps):
     """([fresh internal nodes], separators between them, child counts): one
-    node if `vals` fit in `order` children, else two halves."""
+    node if `vals` fit in `order` children, else two halves. `vals` is a
+    list no node holds (a frozen node's links as `_links` read them), and
+    a single node takes it as it is."""
     t = len(vals)
     if t <= order:
-        return [InternalNode(vals, seps)], (), (t,)
+        return [fresh_internal(vals, seps)], (), (t,)
     h = (t + 1) // 2
-    return ([InternalNode(vals[:h], seps[:h - 1]),
-             InternalNode(vals[h:], seps[h:])], (seps[h - 1],), (h, t - h))
+    return ([fresh_internal(vals[:h], seps[:h - 1]),
+             fresh_internal(vals[h:], seps[h:])], (seps[h - 1],), (h, t - h))
 
 
 def _leaves_hold(leaves, expected_keys) -> bool:

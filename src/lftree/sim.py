@@ -7,7 +7,10 @@ while two or more threads are runnable it steps, through `step`, the
 thread that a pick policy names. Once the policy names none, or one thread
 is left, the rest run to completion in thread order, each in one tight
 loop, `_drain`, which ticks the clock before every step just as repeated
-`step` calls would. Three policies drive it:
+`step` calls would. Only `run_seeded` keeps which thread took each drained
+step, as the tail of the schedule it records; `explore` and
+`run_round_robin` keep their picks alone, so a drained step costs them no
+list entry. Three policies drive it:
 
 - `explore` replays a schedule prefix; within the step bound it goes on
   with the lowest runnable thread and stacks a schedule for each other
@@ -79,13 +82,13 @@ class SimThread:
 
 
 def _refuse_finished(thread: SimThread, what: str) -> None:
-    if thread.done:
-        raise ValueError(f"{what}: the thread has finished "
-                         f"(result {thread.result!r})")
+    raise ValueError(f"{what}: the thread has finished "
+                     f"(result {thread.result!r})")
 
 
 def step(thread: SimThread, clock: Optional[Clock] = None) -> None:
-    _refuse_finished(thread, "step")
+    if thread.done:
+        _refuse_finished(thread, "step")
     if clock is not None:
         clock.t += 1
     try:
@@ -99,7 +102,8 @@ def _drain(thread: SimThread, clock: Optional[Clock] = None) -> int:
     """Run a thread to completion, ticking the clock before every step as
     `step` does, with the clock marked solo if it is an op thread. Returns
     the number of steps taken."""
-    _refuse_finished(thread, "_drain")
+    if thread.done:
+        _refuse_finished(thread, "_drain")
     if clock is None:
         clock = Clock()
     t0 = clock.t
@@ -119,11 +123,11 @@ def _drain(thread: SimThread, clock: Optional[Clock] = None) -> int:
 
 
 def _drive(threads: list, clock: Optional[Clock], pick, picks: list,
-           drained: list) -> None:
+           drained: Optional[list] = None) -> None:
     """The run loop. pick(alive) names the next thread to step among the
     runnable indices `alive` (in thread order), or None to stop choosing.
-    Each pick is appended to `picks`, and the thread of each drained step
-    to `drained`."""
+    Each pick is appended to `picks`, and, given a `drained` list, the
+    thread of each drained step to it."""
     alive = list(range(len(threads)))
     while len(alive) > 1:
         i = pick(alive)
@@ -135,7 +139,9 @@ def _drive(threads: list, clock: Optional[Clock], pick, picks: list,
         if th.done:
             alive.remove(i)
     for i in alive:
-        drained.extend([i] * _drain(threads[i], clock))
+        n = _drain(threads[i], clock)
+        if drained is not None:
+            drained += [i] * n
 
 
 def run(gen):
@@ -153,7 +159,7 @@ def run_round_robin(gens, clock: Optional[Clock] = None):
     def after_last(alive):
         return alive[bisect_right(alive, picks[-1]) % len(alive)]
 
-    _drive(threads, clock, after_last, picks, [])
+    _drive(threads, clock, after_last, picks)
     return [th.result for th in threads]
 
 
@@ -176,8 +182,8 @@ class ExploreReport(NamedTuple):
     failures: list                 # (schedule, problems) per failing schedule
 
 
-def _checked_run(setup, check, pick, picks: list, drained: list,
-                 failures: list) -> None:
+def _checked_run(setup, check, pick, picks: list, failures: list,
+                 drained: Optional[list] = None) -> None:
     """Drive one schedule from a fresh setup under `pick`, then check it.
     The schedule is `picks` as the drive leaves it."""
     clock = Clock()
@@ -237,7 +243,7 @@ def explore(setup, check=None, bound: Optional[int] = None) -> ExploreReport:
     while stack:
         picks = []
         pick = _branching(stack.pop(), bound, stack, picks)
-        _checked_run(setup, check, pick, picks, [], failures)
+        _checked_run(setup, check, pick, picks, failures)
         count += 1
     return ExploreReport(count, failures)
 
@@ -266,7 +272,7 @@ def run_seeded(setup, check=None, seed: int = 0,
     for _ in range(runs):
         picks = []
         # drained steps go into the schedule too
-        _checked_run(setup, check, pick, picks, picks, failures)
+        _checked_run(setup, check, pick, picks, failures, picks)
     return ExploreReport(runs, failures)
 
 

@@ -3,7 +3,11 @@
 All keys live in leaves; internal nodes route. The root is a permanent
 internal node with exactly one child link, and that child is always an
 internal node, so every leaf has a parent and a grandparent and height
-changes are a single link swing at the root.
+changes are a single link swing at the root. A descent takes the root's
+step before its loop: the root is never frozen and never changes shape,
+so the step reads only its status and its one link, each after its own
+yield, and the loop below tests the sizes of the nodes it meets without
+asking whether they have a parent.
 
 Operations are written as generator cores that yield before every shared
 word access, and run in three forms derived from that one source
@@ -148,6 +152,8 @@ class LeafTree:
                 if len(slots) != capacity:
                     bad.append(f"leaf has {len(slots)} slots")
                 for w in slots:
+                    if not w:  # an empty slot, the most common word
+                        continue
                     if 0 < w < RO_BIT:  # a writable key
                         p = w
                     else:
@@ -291,8 +297,17 @@ def _descend(tree, key):
     order, min_size = tree.config.order, tree.config.min_size
     root = tree.root
     while True:
-        node = root
-        grand = parent = None  # node's grandparent and parent, if any
+        # the root's step: it is never frozen and its shape never changes
+        # (one child, no separators), so only its status and its one link
+        # are read
+        yield
+        st = root.status[0]
+        if st[2] != IDLE:
+            yield from rb.execute(tree, root, st, helped=True)
+            continue
+        yield
+        node = root.children[0]
+        grand, parent = None, root  # node's grandparent, if any, and parent
         hi = MAX_KEY
         while type(node) is InternalNode:  # no node class is subclassed
             yield
@@ -309,9 +324,8 @@ def _descend(tree, key):
                 continue
             children = node.children  # the list is fixed; its links are CASed
             n = len(children)
-            # below the root (whose shape never changes), a size outside
-            # [S, K] may need a reshape
-            if parent is not None and not min_size <= n <= order:
+            # a size outside [S, K] may need a reshape
+            if not min_size <= n <= order:
                 if grand is not None:
                     yield from rb.trigger(tree, grand, key)
                     break

@@ -71,8 +71,13 @@ class OpRecord(NamedTuple):
     result: int  # found/removed key, 0 for none; insert: 1 added, 0 present
 
     def line(self) -> str:
-        return (f"{self.tid}\t{self.kind}\t{self.e1}\t{self.e2}"
-                f"\t{self.t1}\t{self.t2}\t{self.result}")
+        return _line(*self)
+
+
+def _line(tid, kind, e1, e2, t1, t2, result) -> str:
+    """One record's trace row, from its 7 fields by position, so an
+    OpRecord and a plain 7-tuple print alike."""
+    return f"{tid}\t{kind}\t{e1}\t{e2}\t{t1}\t{t2}\t{result}"
 
 
 @dataclass(frozen=True)
@@ -183,8 +188,8 @@ _RESPONSE = itemgetter(1)  # t2 of a (t1, t2) pair
 
 def _windows(ins: list, rem: list) -> list:
     """The certain-presence windows of one key, from its two or more
-    successful inserts `ins` as (t1, t2) and its removes `rem` as sorted
-    (t2, t1).
+    successful inserts `ins` as (t1, t2) and its one or more removes `rem`
+    as sorted (t2, t1).
 
     For an insert I, let held(I) be the earliest invocation among the
     removes that responded after I was invoked (never, if none did): I
@@ -193,8 +198,6 @@ def _windows(ins: list, rem: list) -> list:
     inserts in response order, where the maximum grows, so the key is
     certainly present over (a, b) iff the last window ending by a has
     held >= b."""
-    if not rem:  # the earliest response holds for good
-        return [(min(map(_RESPONSE, ins)), _NEVER)]
     first = [_NEVER]  # reversed: first[j] = earliest invocation in rem[-j:]
     for _, rt1 in reversed(rem):
         first.append(min(rt1, first[-1]))
@@ -262,14 +265,30 @@ def _walk(records: Iterable, out: list) -> tuple:
     return sane, in_order, ins, rem
 
 
-def _index(ins: dict, rem: dict) -> tuple:
+def _index(ins: dict, rem: dict, unpaired: list) -> tuple:
     """Sorts the tables in place; returns key -> its windows for every
-    inserted key, and the inserted keys in order."""
+    inserted key, and the inserted keys in order. Reports to `unpaired`
+    each key whose removal lifetimes do not pair off: sorting its removes
+    by response time, the i-th (1-based) needs at least i successful
+    inserts invoked before it responded."""
     windows = {}
     for key, spans in ins.items():  # every key of rem is here
-        ends = rem.get(key, ())
-        if ends:
-            ends.sort()
+        if len(spans) > 1:
+            spans.sort()
+        ends = rem.get(key)
+        if ends is None:  # never removed: its first response holds for good
+            windows[key] = [(spans[0][1] if len(spans) == 1
+                             else min(map(_RESPONSE, spans)), _NEVER)]
+            continue
+        ends.sort()
+        for i, (rt2, _) in enumerate(ends):
+            available = bisect_left(spans, (rt2,))
+            if available <= i:
+                unpaired.append(Violation(
+                    "remove-unpaired", None,
+                    f"{i + 1} removes of {key} responded by {rt2} but only "
+                    f"{available} inserts were invoked"))
+                break
         if len(spans) == 1:  # the common case: held(I) read off directly
             (it1, it2), = spans
             held = _NEVER
@@ -278,7 +297,6 @@ def _index(ins: dict, rem: dict) -> tuple:
                     held = rt1
             windows[key] = [(it2, held)]
         elif spans:
-            spans.sort()
             windows[key] = _windows(spans, ends)
     return windows, sorted(windows)
 
@@ -294,7 +312,7 @@ def _rules(records: list, ins: dict, rem: dict, windows: dict, keys: list,
         _, kind, e1, e2, a, b, res = r
         if kind == INSERT:
             if res:
-                win = windows.get(e1, ())
+                win = windows[e1]
                 j = bisect_right(win, (a, _NEVER))
                 if j and win[j - 1][1] >= b:
                     out.append(Violation(
@@ -362,22 +380,10 @@ def check_history(records: list[OpRecord]) -> list[Violation]:
                         f"thread {tid} invoked at {cur[4]} before "
                         f"{prev[1]} responded at {prev[5]}"))
 
-    windows, keys = _index(ins, rem)
+    unpaired: list[Violation] = []
+    windows, keys = _index(ins, rem, unpaired)
     _rules(sane, ins, rem, windows, keys, out)
-
-    # removal lifetimes must pair off with distinct insert lifetimes
-    for key, starts in ins.items():
-        ends = rem.get(key)
-        if not ends:
-            continue
-        for i, (rt2, _) in enumerate(ends):
-            available = bisect_left(starts, (rt2,))
-            if available < i + 1:
-                out.append(Violation(
-                    "remove-unpaired", None,
-                    f"{i + 1} removes of {key} responded by {rt2} but only "
-                    f"{available} inserts were invoked"))
-                break
+    out += unpaired  # reported last, after every record's own
     return out
 
 
@@ -418,15 +424,17 @@ def snapshot_consistent(records: list[OpRecord],
     if len(snap) != len(snapshot):
         problems.append("snapshot contains duplicates")
     for key, n in sorted(net.items()):
-        if n not in (0, 1):
+        if n == 1:
+            if key not in snap:
+                problems.append(f"key {key} inserted but missing from "
+                                f"snapshot")
+        elif n == 0:
+            if key in snap:
+                problems.append(f"key {key} removed but still in snapshot")
+        else:
             problems.append(f"key {key}: {n} net inserts")
-        elif n == 1 and key not in snap:
-            problems.append(f"key {key} inserted but missing from snapshot")
-        elif n == 0 and key in snap:
-            problems.append(f"key {key} removed but still in snapshot")
-    for key in sorted(snap):
-        if key not in net:
-            problems.append(f"key {key} in snapshot but never inserted")
+    for key in sorted(snap.difference(net)):
+        problems.append(f"key {key} in snapshot but never inserted")
     return problems
 
 
@@ -474,15 +482,17 @@ class TraceError(ValueError):
 
 
 def write_trace(path, records: Iterable[OpRecord], comment: str = "") -> None:
-    """Tab-separated rows: tid, kind, e1, e2, t1, t2, result. `path` is a
-    file name, or a text file already open for writing."""
+    """Tab-separated rows: tid, kind, e1, e2, t1, t2, result, each read
+    from its record by position, so a record may be an OpRecord or a plain
+    7-tuple. `path` is a file name, or a text file already open for
+    writing."""
     if not hasattr(path, "write"):
         with open(path, "w", encoding="ascii") as f:
             return write_trace(f, records, comment)
     for line in comment.splitlines():
         path.write(f"# {line}\n")
     for r in records:
-        path.write(r.line() + "\n")
+        path.write(_line(*r) + "\n")
 
 
 def read_trace(path) -> list[OpRecord]:

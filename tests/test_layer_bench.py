@@ -1,7 +1,8 @@
 """scripts/layer_bench.py: the explore-small pass it times keeps its step
-structure, the leaf pass reports every figure and ratio, the rebalance
-pass times every action it names, the large history is the one its
-docstring names, and the oracle pass replays read-k32's stream."""
+structure, the leaf pass reports every figure and ratio, the descent pass
+walks both trees it names, the rebalance pass times every action it
+names, the large history is the one its docstring names, and the oracle
+pass replays read-k32's stream."""
 
 import importlib.util
 import os
@@ -38,9 +39,22 @@ def test_leaf_pass_reports_ratios_to_scan():
         assert ratio > 0, name
 
 
+def test_descent_pass_walks_read_k32s_and_the_churn_tree():
+    bench = _bench()
+    figures, levels = bench.descent_figures(bench.calibrated())
+    assert set(figures) == set(bench.DESCENT_FIGURES) == {
+        "descent_ns_per_level", "descent4_ns_per_level"}
+    # internal levels, the root included: read-k32's 32,768 keys in
+    # K=D=32 nodes, and 5,000 churn ops in K=D=4 nodes
+    assert levels == {"descent_ns_per_level": 4, "descent4_ns_per_level": 6}
+    for name, (calibrated, raw) in figures.items():
+        assert calibrated > 0 and raw > 0, name
+
+
 def test_large_history_is_churn_k4s_round_robin():
     bench = _bench()
-    records = bench.churn_history()
+    tree, records = bench.churn_run()
+    assert tree.check_structure() == []
     assert len(records) == 5000
     assert {r.tid for r in records} == {0, 1}
     figures = bench.history_figures(bench.calibrated())

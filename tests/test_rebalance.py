@@ -1,10 +1,15 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lftree import rebalance as rb
 from lftree import sim
 from lftree.keyspace import RO_BIT, encode
-from lftree.nodes import (IDLE, PREP, SWAP, InternalNode, LeafNode,
-                          TreeConfig)
+from lftree.nodes import (IDLE, PREP, STATUS_IDLE, SWAP, InternalNode,
+                          LeafNode, TreeConfig, node_search)
 from lftree.tree import LeafTree
 from reference import (band, build_flat, leaf_key_sets, merge_or_redistribute,
                        split_keys, split_sizes)
@@ -78,6 +83,34 @@ def test_merge_and_redistribute_match_brute_force(cfg, sparse_side):
             assert rec.clean == want_clean
             if rec.clean:
                 assert all(band_min <= n <= band_max for n in rec.outputs)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+@pytest.mark.parametrize("ju", [1, 2], ids=["sibling-right", "sibling-left"])
+def test_merge_joins_two_leaves_in_leaf_order(cfg, ju):
+    # three leaves whose slots hold their words out of order: the sparse
+    # one in the middle takes its right sibling (ju + 1), the rightmost
+    # one its left sibling (ju - 1); the fresh leaves carry exactly the
+    # sorted merge of both leaves' keys, slot after slot
+    D, S = cfg.leaf_capacity, cfg.min_size
+    rng = random.Random(ju)
+    js = ju + 1 if ju == 1 else ju - 1
+    for a in range(1, S + 1):
+        for b in range(1, D + 1):
+            sizes = [S + 1, 0, 0]
+            sizes[ju], sizes[js] = a, b
+            runs = [list(range(100 * i + 1, 100 * i + n + 1))
+                    for i, n in enumerate(sizes)]
+            tree = build_flat(cfg, runs)
+            for leaf, _, _ in tree.leaves():
+                rng.shuffle(leaf.slots)
+            rec = _trigger(tree, runs[ju][0])
+            assert rec.action in (rb.MERGE, rb.REDISTRIBUTE)
+            assert rec.inputs == (a, b) and rec.preserved
+            fresh = [leaf for leaf, _, _ in tree.leaves()][1:]
+            assert [w for leaf in fresh for w in leaf.slots if w] == sorted(
+                runs[ju] + runs[js])
+            assert tree.check_structure() == []
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
@@ -227,3 +260,109 @@ def test_one_split_names_its_rebalance_by_one_key():
             seen.append(tree.root.status[0])
     assert owner.result is True
     assert seen == [(0, 0, IDLE), (45, 0, PREP), (45, 0, SWAP), (0, 1, IDLE)]
+
+
+def _shaped_tree(cfg, fans, sizes):
+    """(tree, its largest key bound): below the root, one internal level
+    per entry of `fans`, the nodes of a level taking their child counts
+    from its list in turn, then leaves taking their key counts from
+    `sizes` in turn. Leaf i covers (2Di, 2D(i + 1)] and holds its lowest
+    keys."""
+    D = cfg.leaf_capacity
+    leaves = itertools.count()
+    built = [itertools.count() for _ in fans]  # nodes built per level
+
+    def build(level):
+        if level == len(fans):
+            i = next(leaves)
+            lo = 2 * D * i
+            return (LeafNode(D, range(lo + 1, lo + sizes[i % len(sizes)] + 1)),
+                    lo + 2 * D)
+        fan = fans[level][next(built[level]) % len(fans[level])]
+        kids, his = zip(*[build(level + 1) for _ in range(fan)])
+        return InternalNode(kids, his[:-1]), his[-1]
+
+    child, top = build(0)
+    tree = LeafTree(cfg)
+    tree.root.children[0] = child
+    return tree, top
+
+
+@st.composite
+def _plan_shapes(draw):
+    """A shaped tree, a key in its range and the depth of a grandparent on
+    the key's path (the root is at 0), for the plans at K=D=4 and K=D=32:
+    child counts about S and K, so that one trigger reaches every action,
+    root grow and shrink included."""
+    cfg = draw(st.sampled_from([TreeConfig(4, 4, 2), TreeConfig(32, 32, 8)]))
+    K, D, S = cfg.order, cfg.leaf_capacity, cfg.min_size
+    counts = st.sampled_from(sorted({1, 2, S - 1, S, K, K + 1}))
+    levels = draw(st.integers(1, 3 if K == 4 else 2))
+    fans = [draw(st.lists(counts, min_size=1, max_size=3))
+            for _ in range(levels)]
+    sizes = draw(st.lists(st.sampled_from(sorted({0, 1, S - 1, S, S + 1,
+                                                   D - 1, D})),
+                          min_size=1, max_size=4))
+    tree, top = _shaped_tree(cfg, fans, sizes)
+    return tree, draw(st.integers(1, top)), draw(st.integers(0, levels - 1))
+
+
+def _nodes(tree):
+    """Every node reachable from the root."""
+    out, todo = [], [tree.root]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        if type(node) is InternalNode:
+            todo += node.children
+    return out
+
+
+def _lists(node):
+    if type(node) is LeafNode:
+        return [node.slots]
+    return [node.children, node.status]
+
+
+def _constructor_built(node, D):
+    """Whether `node` looks as its constructor builds it: a leaf holds a
+    list of exactly D words; an internal node a tuple of separators, one
+    fewer than its children, which it holds in a list, and a one-entry
+    status list holding STATUS_IDLE."""
+    if type(node) is LeafNode:
+        return (type(node.slots) is list and len(node.slots) == D
+                and LeafNode(D, node.slots).slots == node.slots)
+    ref = InternalNode(node.children, node.separators)
+    return (type(node.separators) is tuple and type(node.children) is list
+            and type(node.status) is list and node.status == ref.status
+            and ref.status == [STATUS_IDLE]
+            and len(node.separators) == len(node.children) - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plan_shapes())
+def test_plan_and_root_nodes_look_constructor_built(shape):
+    # the plans and new_tree_root build their nodes without the
+    # constructors; every node they make must still look like one the
+    # constructor made, with lists of its own
+    tree, key, depth = shape
+    D = tree.config.leaf_capacity
+    fresh = LeafTree(tree.config)
+    nodes = _nodes(fresh)
+    assert len(nodes) == 3 and all(_constructor_built(n, D) for n in nodes)
+    assert len({id(x) for n in nodes for x in _lists(n)}) == 5
+
+    grand = tree.root
+    for _ in range(depth):
+        grand = grand.children[node_search(grand.separators, key)]
+    before = _nodes(tree)  # held, so no id is reused
+    old = {id(n) for n in before}
+    assert sim.run(rb.trigger(tree, grand, key)) is True
+    after = _nodes(tree)
+    built = [n for n in after if id(n) not in old]
+    assert built, "a rebalance replaces its parent"
+    assert all(_constructor_built(n, D) for n in built)
+    # no list is held by two nodes, old (frozen) ones included
+    held = [id(x) for n in before + built for x in _lists(n)]
+    assert len(set(held)) == len(held)
+    assert tree.check_structure() == []

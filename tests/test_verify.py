@@ -744,6 +744,10 @@ def test_trace_round_trip(tmp_path):
         text = path.read_text()
         assert text.startswith(header + recs[0].line())
         assert read_trace(path) == recs
+        # plain 7-tuples are written by position, byte for byte alike
+        write_trace(path, [tuple(r) for r in recs], comment=comment)
+        assert path.read_text() == text
+        assert read_trace(path) == recs
 
 
 def test_trace_reader_skips_comments_and_blanks(tmp_path):
