@@ -248,6 +248,7 @@ def _rebalance_tree(cfg, sizes: tuple) -> tuple:
     parent whose leaves hold `sizes` keys and an internal node over two
     leaves of S keys."""
     from lftree import LeafTree
+    from lftree.keyspace import EMPTY
     from lftree.nodes import InternalNode, LeafNode
 
     D, S = cfg.leaf_capacity, cfg.min_size
@@ -255,11 +256,11 @@ def _rebalance_tree(cfg, sizes: tuple) -> tuple:
     for n in sizes + (S, S):
         runs.append(list(range(k + 1, k + n + 1)))
         k += 2 * D
-    leaves = [LeafNode(D, keys) for keys in runs]
-    seps = [keys[-1] for keys in runs[:-1]]
+    leaves = [LeafNode(keys + [EMPTY] * (D - len(keys))) for keys in runs]
+    seps = tuple(keys[-1] for keys in runs[:-1])
     parent = InternalNode(leaves[:-2], seps[:len(sizes) - 1])
     other = InternalNode(leaves[-2:], seps[-1:])
-    grand = InternalNode([parent, other], [seps[len(sizes) - 1]])
+    grand = InternalNode([parent, other], (seps[len(sizes) - 1],))
     tree = LeafTree(cfg)
     tree.root.children[0] = grand
     return tree, grand

@@ -8,6 +8,11 @@ tuple serializes rebalancing among its grandchildren. Slots, links and
 status are shared words, each an entry of a list: read them directly,
 write them only with cells.cas (status with index 0).
 
+A node takes the lists it is given as they are, with no copy or check:
+a leaf a list of exactly D slot words, an internal node a children list
+and a separator tuple one shorter. Each must be the node's own, a new
+list that no other node holds; the status list is made for each node.
+
 Status word: a 3-tuple (key, seq, step).
   step IDLE   - no rebalance pending; key is 0.
   step PREP   - a rebalance is advertised: any thread may help by freezing
@@ -41,7 +46,7 @@ class TreeConfig:
     """Structural parameters: K-ary internal nodes, D-slot leaves, sparsity S.
     Each is exactly `int`, as keys are.
 
-    order          max children per internal node (K), >= 3 and >= 2S - 1
+    order          max children per internal node (K), >= 2S - 1, so >= 3
     leaf_capacity  slots per leaf (D), >= 4
     min_size       sparsity threshold (S): a leaf at <= S live keys after a
                    remove, or an internal node under S children, gets
@@ -62,8 +67,6 @@ class TreeConfig:
     def __post_init__(self):
         for name in ("order", "leaf_capacity", "min_size"):
             _exact_int(name, getattr(self, name))
-        if self.order < 3:
-            raise ValueError(f"order must be >= 3: {self.order}")
         if self.leaf_capacity < 4:
             raise ValueError(f"leaf_capacity must be >= 4: {self.leaf_capacity}")
         if not 2 <= self.min_size <= self.leaf_capacity // 2:
@@ -77,11 +80,7 @@ class TreeConfig:
 class LeafNode:
     __slots__ = ("slots",)
 
-    def __init__(self, capacity: int, words=()):
-        slots = list(words)
-        if len(slots) > capacity:
-            raise ValueError(f"{len(slots)} words for {capacity} slots")
-        slots += [EMPTY] * (capacity - len(slots))
+    def __init__(self, slots: list):
         self.slots = slots
 
     def __repr__(self):
@@ -91,10 +90,9 @@ class LeafNode:
 class InternalNode:
     __slots__ = ("separators", "children", "status")
 
-    def __init__(self, children, separators=()):
-        assert len(separators) == len(children) - 1
-        self.separators = tuple(separators)
-        self.children = list(children)
+    def __init__(self, children: list, separators: tuple):
+        self.separators = separators
+        self.children = children
         self.status = [STATUS_IDLE]
 
     def __repr__(self):
@@ -107,30 +105,6 @@ class InternalNode:
 node_search = bisect_left
 
 
-# new_tree_root and rebalance.py's plans make each fresh node's lists
-# themselves, so they skip the constructors' copies, length check and
-# padding.
-_new = object.__new__
-
-
-def fresh_leaf(slots: list) -> LeafNode:
-    """A leaf over `slots`: a new list of exactly D words, which the leaf
-    takes as it is."""
-    leaf = _new(LeafNode)
-    leaf.slots = slots
-    return leaf
-
-
-def fresh_internal(children: list, separators: tuple) -> InternalNode:
-    """An idle internal node over `children`, a new list that it takes as
-    it is, split by the tuple `separators`, one shorter."""
-    node = _new(InternalNode)
-    node.separators = separators
-    node.children = children
-    node.status = [STATUS_IDLE]
-    return node
-
-
 def new_tree_root(config: TreeConfig) -> InternalNode:
     """Permanent root -> one internal child -> one empty leaf.
 
@@ -138,5 +112,5 @@ def new_tree_root(config: TreeConfig) -> InternalNode:
     single child link. The child starts as an internal node so every leaf
     always has both a parent and a grandparent.
     """
-    leaf = fresh_leaf([EMPTY] * config.leaf_capacity)
-    return fresh_internal([fresh_internal([leaf], ())], ())
+    leaf = LeafNode([EMPTY] * config.leaf_capacity)
+    return InternalNode([InternalNode([leaf], ())], ())

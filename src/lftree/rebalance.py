@@ -49,7 +49,7 @@ from typing import NamedTuple
 from .cells import cas
 from .keyspace import DEAD, EMPTY, RO_BIT
 from .nodes import (FROZEN, IDLE, PREP, SWAP, InternalNode, LeafNode,
-                    fresh_internal, fresh_leaf, node_search)
+                    node_search)
 
 SPLIT = "split"
 MERGE = "merge"
@@ -395,7 +395,7 @@ def _plan_shrink(tree, grand, live, only):
     if not ok:
         return None
     vals = yield from _links(only)
-    dropped = fresh_internal(vals, only.separators)
+    dropped = InternalNode(vals, only.separators)
     # not a splice: final stays False even when `only` has a single child
     rec = _new_tuple(RebalanceRecord, (
         "root", SHRINK, (1, len(vals)), (len(vals),), False,
@@ -410,8 +410,8 @@ def _splice(parent, pvals, lo, hi, new, seps) -> InternalNode:
     """The frozen parent with its children lo..hi replaced by `new`, split
     by `seps`: every reshape builds its replacement parent this way."""
     old = parent.separators
-    return fresh_internal(pvals[:lo] + new + pvals[hi + 1:],
-                          old[:lo] + seps + old[hi:])
+    return InternalNode(pvals[:lo] + new + pvals[hi + 1:],
+                        old[:lo] + seps + old[hi:])
 
 
 def _halve_leaf(capacity: int, keys):
@@ -420,10 +420,10 @@ def _halve_leaf(capacity: int, keys):
     frozen words: valid keys, already in their word form."""
     t = len(keys)
     if t < capacity:
-        return [fresh_leaf(keys + [EMPTY] * (capacity - t))], (), (t,)
+        return [LeafNode(keys + [EMPTY] * (capacity - t))], (), (t,)
     h = (t + 1) // 2
-    return ([fresh_leaf(keys[:h] + [EMPTY] * (capacity - h)),
-             fresh_leaf(keys[h:] + [EMPTY] * (capacity - t + h))],
+    return ([LeafNode(keys[:h] + [EMPTY] * (capacity - h)),
+             LeafNode(keys[h:] + [EMPTY] * (capacity - t + h))],
             (keys[h - 1],), (h, t - h))
 
 
@@ -434,10 +434,10 @@ def _halve_internal(order: int, vals, seps):
     a single node takes it as it is."""
     t = len(vals)
     if t <= order:
-        return [fresh_internal(vals, seps)], (), (t,)
+        return [InternalNode(vals, seps)], (), (t,)
     h = (t + 1) // 2
-    return ([fresh_internal(vals[:h], seps[:h - 1]),
-             fresh_internal(vals[h:], seps[h:])], (seps[h - 1],), (h, t - h))
+    return ([InternalNode(vals[:h], seps[:h - 1]),
+             InternalNode(vals[h:], seps[h:])], (seps[h - 1],), (h, t - h))
 
 
 def _leaves_hold(leaves, expected_keys) -> bool:

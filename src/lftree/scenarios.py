@@ -271,7 +271,7 @@ def _stale_grandparent_check(ctx, threads, schedule):
 
 def _freeze_race_setup(clock):
     tree = LeafTree(_SMALL)
-    leaf = LeafNode(4, [10, 20, DEAD, DEAD])
+    leaf = LeafNode([10, 20, DEAD, DEAD])
     tree.root.status[0] = (1, 0, PREP)
     live = ((1, 0, PREP), (1, 0, SWAP))
     return leaf, [rb.freeze_leaf(tree, tree.root, live, leaf),

@@ -59,7 +59,11 @@ from .verify import INSERT, REMOVE, SEARCH
 
 class LeafTree:
     def __init__(self, config: Optional[TreeConfig] = None):
-        self.config = config or TreeConfig()
+        if config is None:
+            config = TreeConfig()
+        elif not isinstance(config, TreeConfig):
+            raise ValueError(f"config must be a TreeConfig or None: {config!r}")
+        self.config = config
         self.root = new_tree_root(self.config)
         self.stats = rb.RebalanceStats()
 

@@ -19,7 +19,7 @@ import random
 from bisect import bisect_left
 from itertools import permutations
 
-from lftree.keyspace import MAX_KEY, PAYLOAD_MASK, RO_BIT, encode
+from lftree.keyspace import EMPTY, MAX_KEY, PAYLOAD_MASK, RO_BIT, encode
 from lftree.nodes import IDLE, InternalNode, LeafNode, TreeConfig
 from lftree.tree import LeafTree
 from lftree.verify import INSERT, REMOVE, SEARCH, Violation
@@ -115,6 +115,14 @@ def band(cfg: TreeConfig) -> tuple:
             cfg.leaf_capacity - 1)
 
 
+def padded_leaf(capacity: int, words=()) -> LeafNode:
+    """A leaf over a new list of `words` padded with EMPTY to `capacity`
+    slots."""
+    words = list(words)
+    assert len(words) <= capacity
+    return LeafNode(words + [EMPTY] * (capacity - len(words)))
+
+
 def build_flat(cfg: TreeConfig, leaf_keys: list) -> LeafTree:
     """Tree with exactly one internal node over the given leaves.
 
@@ -125,9 +133,9 @@ def build_flat(cfg: TreeConfig, leaf_keys: list) -> LeafTree:
     leaves = []
     for keys in leaf_keys:
         assert keys == sorted(keys) and len(keys) <= cfg.leaf_capacity
-        leaves.append(LeafNode(cfg.leaf_capacity,
-                               [encode(k) for k in keys]))
-    seps = [max(keys) for keys in leaf_keys[:-1]]
+        leaves.append(padded_leaf(cfg.leaf_capacity,
+                                  [encode(k) for k in keys]))
+    seps = tuple(max(keys) for keys in leaf_keys[:-1])
     tree.root.children[0] = InternalNode(leaves, seps)
     return tree
 

@@ -2,8 +2,9 @@ import pytest
 
 from lftree import cells
 from lftree.cells import Cell, cas
-from lftree.nodes import InternalNode, LeafNode, TreeConfig
+from lftree.nodes import InternalNode, TreeConfig
 from lftree.tree import LeafTree
+from reference import padded_leaf
 
 
 def test_load_and_cas():
@@ -73,7 +74,7 @@ def test_cas_leaves_its_stripe_unlocked():
 
 
 def test_cas_status_compares_by_equality():
-    node = InternalNode([LeafNode(4)])
+    node = InternalNode([padded_leaf(4)], ())
     node.status[0] = (2, 0, 1)
     assert cas(node.status, 0, (2, 0, 1), (0, 1, 0))  # equal, fresh tuple
     assert node.status == [(0, 1, 0)]
@@ -82,7 +83,7 @@ def test_cas_status_compares_by_equality():
 
 
 def test_cas_status_leaves_its_stripe_unlocked():
-    node = InternalNode([LeafNode(4)])
+    node = InternalNode([padded_leaf(4)], ())
     stripe = _stripe_of(node.status)
     assert cas(node.status, 0, node.status[0], (0, 1, 0))
     assert not stripe.locked()

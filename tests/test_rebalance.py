@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from lftree import rebalance as rb
 from lftree import sim
+from lftree.harness import RunConfig, make_ops
 from lftree.keyspace import RO_BIT, encode
 from lftree.nodes import (IDLE, PREP, STATUS_IDLE, SWAP, InternalNode,
                           LeafNode, TreeConfig, node_search)
 from lftree.tree import LeafTree
 from reference import (band, build_flat, leaf_key_sets, merge_or_redistribute,
-                       split_keys, split_sizes)
+                       padded_leaf, split_keys, split_sizes)
 
 CONFIGS = [TreeConfig(3, 4, 2), TreeConfig(5, 8, 3), TreeConfig(4, 6, 2),
            TreeConfig(7, 8, 4)]
@@ -165,7 +166,7 @@ def test_shrink_when_roots_child_has_one_internal_child(leaves):
     cfg = TreeConfig(3, 4, 2)
     tree = build_flat(cfg, leaves)
     inner = tree.root.children[0]
-    tree.root.children[0] = InternalNode([inner])
+    tree.root.children[0] = InternalNode([inner], ())
     before = tree.height()
     rec = _trigger(tree, 10)
     assert rec.kind == "root" and rec.action == rb.SHRINK
@@ -182,7 +183,7 @@ def test_internal_split_via_packed_parent():
     # root -> top -> [inner with K+1 leaves, inner2]: descent splits it
     tree = build_flat(cfg, [[10], [20], [30], [40]])
     fat = tree.root.children[0]
-    sib = InternalNode([LeafNode(4, [encode(90)])])
+    sib = InternalNode([padded_leaf(4, [encode(90)])], ())
     tree.root.children[0] = InternalNode([fat, sib], (40,))
     rec = _trigger(tree, 10)
     assert rec.kind == "internal" and rec.action == rb.SPLIT
@@ -213,7 +214,7 @@ def test_clean_band_arithmetic_over_all_configs():
 def test_freeze_leaf_is_idempotent():
     cfg = TreeConfig(3, 4, 2)
     tree = LeafTree(cfg)
-    leaf = LeafNode(4, [encode(10), encode(20)])
+    leaf = padded_leaf(4, [encode(10), encode(20)])
     tree.root.status[0] = (1, 0, PREP)
     live = ((1, 0, PREP), (1, 0, SWAP))
     first = sim.run(rb.freeze_leaf(tree, tree.root, live, leaf))
@@ -227,7 +228,7 @@ def test_freeze_leaf_is_idempotent():
 def test_freeze_abandons_on_stale_status():
     cfg = TreeConfig(3, 4, 2)
     tree = LeafTree(cfg)
-    leaf = LeafNode(4, [encode(10)])
+    leaf = padded_leaf(4, [encode(10)])
     tree.root.status[0] = (0, 7, IDLE)  # already cleared
     live = ((1, 0, PREP), (1, 0, SWAP))
     got = sim.run(rb.freeze_leaf(tree, tree.root, live, leaf))
@@ -276,11 +277,11 @@ def _shaped_tree(cfg, fans, sizes):
         if level == len(fans):
             i = next(leaves)
             lo = 2 * D * i
-            return (LeafNode(D, range(lo + 1, lo + sizes[i % len(sizes)] + 1)),
-                    lo + 2 * D)
+            keys = range(lo + 1, lo + sizes[i % len(sizes)] + 1)
+            return padded_leaf(D, keys), lo + 2 * D
         fan = fans[level][next(built[level]) % len(fans[level])]
         kids, his = zip(*[build(level + 1) for _ in range(fan)])
-        return InternalNode(kids, his[:-1]), his[-1]
+        return InternalNode(list(kids), his[:-1]), his[-1]
 
     child, top = build(0)
     tree = LeafTree(cfg)
@@ -325,26 +326,24 @@ def _lists(node):
 
 
 def _constructor_built(node, D):
-    """Whether `node` looks as its constructor builds it: a leaf holds a
-    list of exactly D words; an internal node a tuple of separators, one
-    fewer than its children, which it holds in a list, and a one-entry
-    status list holding STATUS_IDLE."""
+    """Whether `node` holds what its constructor takes as it is: a leaf a
+    list of exactly D slots; an internal node a tuple of separators one
+    shorter than its list of children, and a one-entry status list
+    holding STATUS_IDLE. That each list is the node's own is checked by
+    the callers, over every node at once."""
     if type(node) is LeafNode:
-        return (type(node.slots) is list and len(node.slots) == D
-                and LeafNode(D, node.slots).slots == node.slots)
-    ref = InternalNode(node.children, node.separators)
+        return type(node.slots) is list and len(node.slots) == D
     return (type(node.separators) is tuple and type(node.children) is list
-            and type(node.status) is list and node.status == ref.status
-            and ref.status == [STATUS_IDLE]
-            and len(node.separators) == len(node.children) - 1)
+            and len(node.separators) == len(node.children) - 1
+            and type(node.status) is list and node.status == [STATUS_IDLE])
 
 
 @settings(max_examples=150, deadline=None)
 @given(_plan_shapes())
 def test_plan_and_root_nodes_look_constructor_built(shape):
-    # the plans and new_tree_root build their nodes without the
-    # constructors; every node they make must still look like one the
-    # constructor made, with lists of its own
+    # the constructors take their lists as they are, so every node that
+    # new_tree_root and the plans build must be handed lists of the right
+    # shape, each its own
     tree, key, depth = shape
     D = tree.config.leaf_capacity
     fresh = LeafTree(tree.config)
@@ -366,3 +365,58 @@ def test_plan_and_root_nodes_look_constructor_built(shape):
     held = [id(x) for n in before + built for x in _lists(n)]
     assert len(set(held)) == len(held)
     assert tree.check_structure() == []
+
+
+def _kept_by_init(cls, built):
+    init = cls.__init__
+
+    def wrapped(self, *args):
+        init(self, *args)
+        built.append(self)
+    return wrapped
+
+
+def test_every_reachable_node_went_through_its_constructor(monkeypatch):
+    # the constructors are the only way to build a node, so wrapping them
+    # (as perfbench's tracer does) sees every node that a tree can reach
+    built = []  # every node built, held so that no id is reused
+    for cls in (LeafNode, InternalNode):
+        monkeypatch.setattr(cls, "__init__", _kept_by_init(cls, built))
+
+    def check(tree):
+        ids = {id(n) for n in built}
+        nodes = _nodes(tree)
+        assert all(id(n) in ids for n in nodes)
+        return len(nodes)
+
+    assert check(LeafTree(TreeConfig(4, 4, 2))) == 3
+
+    # K=D=4 round robin: thread 1 runs stepped beside thread 0, then alone
+    # through the counted cores
+    cfg = RunConfig(order=4, leaf_capacity=4, min_size=2, threads=2,
+                    ops_per_thread=1000, key_range=64, seed=1)
+    tree = LeafTree(TreeConfig(4, 4, 2))
+    clock = sim.Clock()
+    records = []
+    sim.run_round_robin([sim.op_thread(tree, clock, 0, make_ops(cfg, 0)[:300],
+                                       records),
+                         sim.op_thread(tree, clock, 1, make_ops(cfg, 1),
+                                       records)], clock)
+    assert len(records) == 1300 and check(tree) > 3
+    actions = {r.action for r in tree.stats.records}
+
+    # fill then drain through the public, yield-free methods
+    keys = list(range(1, 601))
+    random.Random(1).shuffle(keys)
+    tree = LeafTree(TreeConfig(3, 4, 2))
+    for i, k in enumerate(keys, 1):
+        assert tree.insert(k) is True
+        if i % 100 == 0:
+            check(tree)
+    for i, k in enumerate(keys, 1):
+        assert tree.remove(k) == k
+        if i % 100 == 0:
+            check(tree)
+    actions |= {r.action for r in tree.stats.records}
+    assert actions >= {rb.SPLIT, rb.MERGE, rb.REDISTRIBUTE, rb.REBUILD,
+                       rb.GROW, rb.SHRINK}

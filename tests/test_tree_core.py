@@ -13,7 +13,7 @@ from lftree.nodes import (FROZEN, IDLE, PREP, SWAP, InternalNode, LeafNode,
                           TreeConfig, new_tree_root, node_search)
 from lftree.tree import LeafTree
 from reference import (build_flat, check_structure_by_walk, leaf_key_sets,
-                       scan_by_definition)
+                       padded_leaf, scan_by_definition)
 
 
 def test_config_validation():
@@ -33,6 +33,34 @@ def test_config_validation():
     for shape in ((3, 32, 8), (6, 8, 4), (4, 6, 3), (3, 8, 4), (6, 12, 4)):
         with pytest.raises(ValueError, match="^order"):
             TreeConfig(*shape)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-2, 12), st.integers(-2, 12), st.integers(-2, 8))
+def test_config_takes_exactly_the_documented_triples(order, capacity, size):
+    # order >= 3 is no rule of its own: min_size >= 2 and
+    # order >= 2*min_size - 1 imply it
+    shape_ok = capacity >= 4 and 2 <= size <= capacity // 2
+    if shape_ok and order >= 3 and order >= 2 * size - 1:
+        assert TreeConfig(order, capacity, size).order == order
+        return
+    with pytest.raises(ValueError) as refused:
+        TreeConfig(order, capacity, size)
+    if shape_ok:
+        assert str(refused.value).startswith("order")
+
+
+@pytest.mark.parametrize(
+    "config", [0, False, True, {}, "", "x", [], (32, 32, 8), 32],
+    ids=["zero", "false", "true", "dict", "empty-str", "str", "list",
+         "tuple", "int"])
+def test_tree_takes_only_a_tree_config(config):
+    with pytest.raises(ValueError, match="^config"):
+        LeafTree(config)
+
+
+def test_tree_defaults_its_config():
+    assert LeafTree().config == LeafTree(None).config == TreeConfig()
 
 
 def test_node_search_ties_go_left():
@@ -152,7 +180,7 @@ def test_check_structure_flags_uneven_leaf_depth():
     cfg = TreeConfig(3, 4, 2)
     tree = build_flat(cfg, [[1, 2], [5, 7]])
     inner = tree.root.children[0]
-    shallow = LeafNode(cfg.leaf_capacity, [encode(9)])
+    shallow = padded_leaf(cfg.leaf_capacity, [encode(9)])
     deep = InternalNode([inner], ())
     tree.root.children[0] = InternalNode([deep, shallow], (8,))
     assert any("different depths" in b for b in tree.check_structure())
@@ -195,7 +223,7 @@ _words = st.one_of(st.just(EMPTY), st.just(DEAD), _keys,
 @example([DEAD, DEAD, EMPTY, DEAD], MIN_KEY, MAX_KEY)
 def test_leaf_scans_match_the_word_layout(words, a, b):
     e1, e2 = min(a, b), max(a, b)
-    leaf = LeafNode(len(words), words)
+    leaf = LeafNode(list(words))
     (key, slot, word), empty, live = scan_by_definition(words, e1, e2)
     want_scan = (slot, word, live)
     direct = tree_mod._direct
@@ -285,9 +313,9 @@ def _mixed_children(tree, rng):
     j = rng.randrange(len(node.children))
     child = node.children[j]
     if type(child) is LeafNode:
-        node.children[j] = InternalNode([child])
+        node.children[j] = InternalNode([child], ())
     else:
-        node.children[j] = LeafNode(tree.config.leaf_capacity)
+        node.children[j] = padded_leaf(tree.config.leaf_capacity)
     return True
 
 
@@ -299,7 +327,7 @@ def _uneven_depth(tree, rng):
     for node in _internal_nodes(tree):
         for j, child in enumerate(node.children):
             if child is leaf:
-                node.children[j] = InternalNode([leaf])
+                node.children[j] = InternalNode([leaf], ())
                 return True
     return False
 
