@@ -21,11 +21,8 @@ now reads it at 549 and 569 ns calibrated (medians over 5 passes in two
 invocations; 354 and 392 ns raw). A leaf freeze issues one CAS per slot.
 The finally clause still releases the lock if the comparison raises.
 
-The stripes do not convoy as a single tree-wide lock does: in 2-thread
-churn runs (K=D=4, S=2, 10 us switch interval) a counting wrapper found a
-stripe already held on 0.4% of 3.8 acquisitions per op, where the lock
-rebalance.py used to take for its counts was held on 23% of its 0.94
-(see rebalance.RebalanceStats).
+The stripes do not convoy as the one tree-wide lock that rebalance.py
+once took for its counts did; rebalance.RebalanceStats has the numbers.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Subcommands: stress (threaded run + full post-run verification), check
 (re-verify a saved trace), schedules (deterministic interleaving
-scenarios), bench (throughput), selftest (quick battery).
+scenarios), bench (throughput), selftest (the serial oracle, then
+schedules and a short stress run).
 
 Exit codes: 0 all checks passed, 1 a verification check failed (for
 check, a history violation or a progress-audit finding), 2 bad usage or
@@ -17,6 +18,7 @@ import sys
 import time
 
 from . import harness, scenarios
+from .keyspace import _exact_int
 from .nodes import TreeConfig
 from .tree import LeafTree, _op_direct
 from .verify import (SetOracle, TraceError, check_history, progress_audit,
@@ -92,8 +94,7 @@ def cmd_stress(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.window < 0:
-        raise ValueError(f"--window must be >= 0, got {args.window}")
+    _exact_int("--window", args.window, 0)
     records = read_trace(args.trace)  # main reports a TraceError
     violations = check_history(records)
     print(f"{len(records)} records, {len(violations)} violations")
@@ -112,10 +113,10 @@ def cmd_check(args) -> int:
 def cmd_schedules(args) -> int:
     # sim.explore and sim.run_seeded refuse these too, but only once their
     # scenario comes up; `all` would print the scenarios before it first
-    if args.bound is not None and args.bound < 0:
-        raise ValueError(f"--bound must be >= 0, got {args.bound}")
-    if args.runs is not None and args.runs < 1:
-        raise ValueError(f"--runs must be >= 1, got {args.runs}")
+    if args.bound is not None:
+        _exact_int("--bound", args.bound, 0)
+    if args.runs is not None:
+        _exact_int("--runs", args.runs, 1)
     names = sorted(scenarios.SCENARIOS) if args.scenario == "all" \
         else [args.scenario]
     failed = False
@@ -168,11 +169,10 @@ def cmd_selftest(args) -> int:
     failed = False
 
     oracle = SetOracle()
-    tree = LeafTree(TreeConfig(5, 8, 3))
-    wl_cfg = harness.RunConfig(order=5, leaf_capacity=8, min_size=3,
-                               threads=1, ops_per_thread=3000,
-                               key_range=512, seed=11)
-    for kind, e1, e2 in harness.make_ops(wl_cfg, 0):
+    cfg = harness.RunConfig(order=5, leaf_capacity=8, min_size=3, threads=1,
+                            ops_per_thread=3000, key_range=512, seed=11)
+    tree = LeafTree(cfg.tree_config())
+    for kind, e1, e2 in harness.make_ops(cfg, 0):
         got = _op_direct(tree, kind, e1, e2)
         want = oracle.apply(kind, e1, e2)
         if got != want:
@@ -181,22 +181,17 @@ def cmd_selftest(args) -> int:
             failed = True
             break
     else:
-        print(f"serial oracle: {wl_cfg.ops_per_thread} ops exact")
+        print(f"serial oracle: {cfg.ops_per_thread} ops exact")
     if tree.snapshot() != oracle.keys():
         print("serial snapshot mismatch")
         failed = True
 
-    for report in scenarios.run_all(runs=500):
-        status = "ok" if report.ok else "FAILED"
-        print(f"scenario {report.name}: {report.schedules} schedules, "
-              f"{status}")
-        failed = failed or not report.ok
-
-    cfg = harness.RunConfig(threads=4, ops_per_thread=5000, key_range=4096,
-                            seed=3)
-    result = harness.run_stress(cfg)
-    print(f"stress: {result.summary()}")
-    failed = failed or not result.ok
+    parser = build_parser()
+    for argv in (["schedules", "--runs", "500"],
+                 ["stress", "--threads", "4", "--ops", "5000",
+                  "--range", "4096", "--seed", "3"]):
+        sub = parser.parse_args(argv)
+        failed = sub.func(sub) != 0 or failed
 
     print("selftest", "FAILED" if failed else "passed")
     return 1 if failed else 0
@@ -248,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds per thread count (default 1.0)")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("selftest", help="quick verification battery")
+    p = sub.add_parser("selftest", help="serial oracle, schedules, stress")
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -66,14 +66,7 @@ class RunConfig:
                              f"{self.ops_per_thread}")
         if not 4 <= self.key_range <= MAX_KEY:
             raise ValueError(f"key range not in [4, 2**63-1]: {self.key_range}")
-        mix = self.mix
-        if not (type(mix) in (tuple, list) and len(mix) == 3
-                and all(_real(w) and w >= 0 for w in mix) and sum(mix) > 0):
-            raise ValueError(f"mix needs three finite non-negative weights: "
-                             f"{mix!r}")
-        if not _real(sum(mix)):
-            raise ValueError(f"mix weights must sum to a finite number: "
-                             f"{mix!r}")
+        _check_mix(self.mix)
         if not (_real(self.duration) and self.duration >= 0):
             raise ValueError(f"duration must be a finite number >= 0: "
                              f"{self.duration!r}")
@@ -89,21 +82,26 @@ def _real(x) -> bool:  # a finite int or float, not a bool or a string
         return False
 
 
+def _check_mix(mix) -> None:
+    """Refuse a mix that is not three finite non-negative weights, in
+    search:insert:remove order, with a finite positive sum."""
+    if not (type(mix) in (tuple, list) and len(mix) == 3
+            and all(_real(w) and w >= 0 for w in mix) and sum(mix) > 0):
+        raise ValueError(f"mix needs three finite non-negative "
+                         f"search:insert:remove weights: {mix!r}")
+    if not _real(sum(mix)):
+        raise ValueError(f"mix weights must sum to a finite number: "
+                         f"{mix!r}")
+
+
 def parse_mix(text: str) -> tuple:
     """'50:25:25' -> (0.5, 0.25, 0.25)."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"mix must be search:insert:remove, got {text!r}")
     try:
-        weights = [float(p) for p in parts]
+        weights = tuple(float(p) for p in text.split(":"))
     except ValueError:
         raise ValueError(f"mix weights must be numbers: {text!r}") from None
+    _check_mix(weights)
     total = sum(weights)
-    if not all(map(math.isfinite, weights)) or total <= 0 or min(weights) < 0:
-        raise ValueError(f"mix weights must be finite, non-negative and sum "
-                         f"> 0: {text!r}")
-    if not math.isfinite(total):
-        raise ValueError(f"mix weights must sum to a finite number: {text!r}")
     return tuple(w / total for w in weights)
 
 

@@ -34,11 +34,8 @@ happened and only attempts the clear.
 Plan records are the duty of the link-swap winner, which is unique; status
 clearing may be done by anyone. No lock is taken on the rebalance path: the
 only shared writes are the word CASes and the appends that count a begin,
-a link swap and a clear in RebalanceStats. `list.append` is atomic in
-CPython (Python FAQ, "What kinds of global value mutation are
-thread-safe?"), and the tree-wide lock that once guarded those counts
-convoyed under real threads: in 2-thread churn runs 23% of its
-acquisitions found it held (RebalanceStats has the numbers).
+a link swap and a clear in RebalanceStats, which says why a lock around
+those counts convoyed and an atomic `list.append` does not.
 CPython's GC frees the unlinked nodes once no thread holds them.
 """
 
@@ -86,8 +83,8 @@ class RebalanceStats:
     blocked in turn. Over eight 2-thread churn runs (perfbench churn-k4's
     shape: K=D=4, S=2, 10 us switch interval; CPython 3.11.7, 2 cores) a
     counting wrapper found it held on 23% of its 0.94 acquisitions per op,
-    against 0.4% for the CAS stripes (cells.py), and dropping it took the
-    runs' voluntary context switches from 435-780 to 310-500 per 1k ops.
+    against 0.4% of 3.8 for the CAS stripes (cells.py), and dropping it took
+    the runs' voluntary context switches from 435-780 to 310-500 per 1k ops.
 
     `snapshot()` reads each list once, so its counts agree with each other
     at quiesce."""
@@ -145,19 +142,17 @@ def trigger(tree, grand, key: int):
     """Begin-or-help. Ensures one rebalance completes at `grand`: our own if
     the status was idle, else the pending one. Returns True iff we began."""
     won = yield from begin(tree, grand, key)
-    yield
-    st = grand.status[0]
-    if st[2] in (PREP, SWAP):
-        yield from execute(tree, grand, st, helped=not won)
+    yield from help_pending(tree, grand, not won)
     return won
 
 
-def help_pending(tree, node):
-    """Drive any rebalance advertised at `node` to completion."""
+def help_pending(tree, node, helped: bool):
+    """Drive any rebalance advertised at `node` to completion; `helped`
+    says whether another thread began it."""
     yield
     st = node.status[0]
     if st[2] in (PREP, SWAP):
-        yield from execute(tree, node, st, helped=True)
+        yield from execute(tree, node, st, helped=helped)
 
 
 def freeze_internal(tree, grand, live, node):

@@ -156,7 +156,7 @@ def _pending_split(phase: int, helpers: int, clock):
     owner = sim.SimThread(rb.trigger(tree, tree.root, 45))
     sim.run_until(owner, lambda: tree.root.status[0][2] == phase)
     assert not owner.done
-    return tree, [owner.gen] + [rb.help_pending(tree, tree.root)
+    return tree, [owner.gen] + [rb.help_pending(tree, tree.root, True)
                                 for _ in range(helpers)]
 
 
@@ -364,9 +364,3 @@ def own_args(name: str, bound: int = None, runs: int = None,
     if SCENARIOS[name].seeded:
         return {"runs": runs, "seed": seed}
     return {"bound": bound}
-
-
-def run_all(bound: int = None, runs: int = None) -> list[ScenarioReport]:
-    """Every scenario, each given only the arguments of its kind."""
-    return [run_scenario(name, **own_args(name, bound, runs))
-            for name in SCENARIOS]

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from lftree import cli, harness
+from lftree import cli, harness, scenarios
 from lftree.cli import main
 from lftree.verify import OpRecord, SEARCH, write_trace
 
@@ -224,5 +224,25 @@ def test_bench_prints_one_row_per_thread_count(capsys):
 
 
 def test_selftest_smoke(capsys):
+    # the serial oracle, then what `schedules` and `stress` print
     assert main(["selftest"]) == 0
-    assert "selftest passed" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "serial oracle: 3000 ops exact"
+    names = sorted(scenarios.SCENARIOS)
+    assert [line.split(":")[0] for line in lines[1:-3]] == names
+    assert lines[-3].startswith("20000 ops, 4 threads, ")
+    assert lines[-2:] == ["all checks passed", "selftest passed"]
+
+
+def test_a_failing_selftest_names_its_schedule(monkeypatch, capsys):
+    def broken(*_):
+        return ["injected problem"]
+
+    row = scenarios.Scenario(scenarios._begin_race_setup, broken)
+    monkeypatch.setitem(scenarios.SCENARIOS, "broken", row)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "broken: 20 schedules, FAILED" in out
+    assert "  schedule (" in out
+    assert "    injected problem" in out
+    assert out.endswith("selftest FAILED\n")

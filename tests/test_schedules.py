@@ -102,7 +102,10 @@ def test_bounded_runs_still_pass():
         assert report.ok, (name, report.failures[:3])
 
 
-def test_run_all_covers_every_scenario():
-    reports = scenarios.run_all(bound=6, runs=100)
-    assert [r.name for r in reports] == list(scenarios.SCENARIOS)
-    assert all(r.ok for r in reports)
+def test_schedules_all_covers_every_scenario(capsys):
+    # `all` gives each scenario only the flags of its kind
+    assert main(["schedules", "--bound", "6", "--runs", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == sorted(scenarios.SCENARIOS)
+    assert all(", ok, " in line for line in lines)
+    assert "help-storm: 100 schedules (seeded)" in lines[3]
