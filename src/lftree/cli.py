@@ -142,6 +142,9 @@ def cmd_schedules(args) -> int:
             print(f"  schedule {schedule}:")
             for p in problems:
                 print(f"    {p}")
+        if len(report.failures) > _MAX_SHOWN:
+            print(f"  ... {len(report.failures) - _MAX_SHOWN} more failing "
+                  f"schedules")
         if not report.ok:
             failed = True
     return 1 if failed else 0

@@ -296,6 +296,8 @@ def _run(tree: LeafTree, tid: int, ops, out, clock,
 
 
 def _apply(tree: LeafTree, kind: str, e1: int, e2: int) -> int:
+    """The one other kind-to-op map, kept because perfbench wraps the public
+    methods; each of them is one call of the yield-free `tree._op`."""
     if kind == SEARCH:
         return tree.search(e1, e2)
     if kind == REMOVE:

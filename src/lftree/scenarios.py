@@ -43,7 +43,6 @@ _SMALL = TreeConfig(order=3, leaf_capacity=4, min_size=2)
 
 @dataclass
 class ScenarioReport:
-    name: str
     schedules: int
     failures: list  # (schedule, problems)
     analytic: Optional[int] = None  # the count a complete run was held to
@@ -342,7 +341,7 @@ def run_scenario(name: str, bound: int = None, runs: int = None,
         report = sim.run_seeded(row.setup, row.check,
                                 seed=row.seed if seed is None else seed,
                                 runs=row.runs if runs is None else runs)
-        return ScenarioReport(name, report.schedules, report.failures)
+        return ScenarioReport(report.schedules, report.failures)
     if runs is not None or seed is not None:
         raise ValueError(f"{name} is explored exhaustively: runs and seed "
                          f"do not apply, only bound")
@@ -354,7 +353,7 @@ def run_scenario(name: str, bound: int = None, runs: int = None,
         if report.schedules != expected:
             report.failures.append(((), [f"{report.schedules} schedules, "
                                          f"analytic count is {expected}"]))
-    return ScenarioReport(name, report.schedules, report.failures, expected)
+    return ScenarioReport(report.schedules, report.failures, expected)
 
 
 def own_args(name: str, bound: int = None, runs: int = None,

@@ -17,13 +17,16 @@ yields compiled out, since real threads are preempted by the interpreter
 anyway; a copied slot loop that uses its index only to read the slot
 iterates the word list instead (_find), with the same reads in the same
 order. Where the explorer runs a thread alone, it runs counted copies, in
-which each yield ticks a step counter instead. _op is the one map from a
-(kind, e1, e2) op to its core: explorer op threads run it stepped or
-counted and selftest yield-free; the threaded harness calls the public
-methods, which perfbench wraps. Semantics are the interval-set contracts
-checked by verify.py: a search/remove over [e1, e2] returns the smallest
-key that was continuously present, or some key that was present at some
-point during the call; 0 means no key was continuously present.
+which each yield ticks a step counter instead. Every op enters through
+_op, the one map from a (kind, e1, e2) op to its core and the one check
+of its arguments: explorer op threads run it stepped or counted, and the
+public methods (which the harness calls and perfbench wraps) and
+selftest yield-free. Semantics are the interval-set contracts checked by
+verify.py: a search/remove over [e1, e2] returns a key of the range
+present at some point during the call, or 0 only if none was
+continuously present; a remove's key is no larger than any key
+continuously present in range. Searches returned that smallest key too
+in every probe so far, but verify.py does not check it for them.
 
 A leaf's D slots are unsorted, so every operation reads all of them,
 with a scan of its own: a search wants only the smallest key in range
@@ -70,20 +73,18 @@ class LeafTree:
     # -- public API: the yield-free cores -------------------------------------
 
     def search(self, e1: int, e2: Optional[int] = None) -> int:
-        """Smallest key in [e1, e2] continuously present, else a key present
-        at some point, else 0."""
-        e1, e2 = _range_args(e1, e2)
-        return _search_direct(self, e1, e2)
+        """A key in [e1, e2] present during the call, or 0 only if none was
+        there throughout; the smallest in every probe so far, not checked."""
+        return _op_direct(self, SEARCH, e1, e2)
 
     def remove(self, e1: int, e2: Optional[int] = None) -> int:
         """Remove and return one key from [e1, e2] (0 if none found). The
         result is no larger than any key continuously present in range."""
-        e1, e2 = _range_args(e1, e2)
-        return _remove_direct(self, e1, e2)
+        return _op_direct(self, REMOVE, e1, e2)
 
     def insert(self, e: int) -> bool:
         """Add e; False if it was already present."""
-        return _insert_direct(self, encode(e))
+        return _op_direct(self, INSERT, e, None) == 1
 
     # -- quiescent inspection (plain reads, no concurrency) -------------------
 
@@ -224,17 +225,21 @@ class LeafTree:
 
 
 def _op(tree, kind, e1, e2):
-    """One (kind, e1, e2) op, its arguments checked as the public methods
-    check them; returns the result as an OpRecord holds it (insert 1/0)."""
+    """One (kind, e1, e2) op, the one place its arguments are checked: e2
+    None means e1, and an insert adds e1. Returns the result as an
+    OpRecord holds it (insert 1/0)."""
+    if kind != SEARCH and kind != REMOVE and kind != INSERT:
+        raise ValueError(f"unknown op kind: {kind!r}")
+    if e2 is None:
+        e2 = e1
+    if (type(e1) is not int or type(e2) is not int
+            or not MIN_KEY <= e1 <= e2 <= MAX_KEY):
+        _reject_range(e1, e2)
     if kind == SEARCH:
-        e1, e2 = _range_args(e1, e2)
         return (yield from _search(tree, e1, e2))
     if kind == REMOVE:
-        e1, e2 = _range_args(e1, e2)
         return (yield from _remove(tree, e1, e2))
-    if kind == INSERT:
-        return 1 if (yield from _insert(tree, encode(e1))) else 0
-    raise ValueError(f"unknown op kind: {kind!r}")
+    return 1 if (yield from _insert(tree, e1)) else 0
 
 
 def _search(tree, e1, e2):
@@ -412,15 +417,6 @@ def _scan(leaf, e1, e2):
     return best_slot, best_word, live
 
 
-def _range_args(e1, e2):
-    if e2 is None:
-        e2 = e1
-    if (type(e1) is not int or type(e2) is not int
-            or not MIN_KEY <= e1 <= e2 <= MAX_KEY):
-        _reject_range(e1, e2)
-    return e1, e2
-
-
 def _reject_range(e1, e2):
     encode(e1)
     encode(e2)
@@ -431,7 +427,4 @@ def _reject_range(e1, e2):
 # yield-free copies; the explorer steps the generators above, and runs the
 # counted copies where a thread runs alone (sim.py).
 _direct, _counted = copies(sys.modules[__name__], rb=copies(rb))
-_search_direct = _direct._search
-_remove_direct = _direct._remove
-_insert_direct = _direct._insert
 _op_direct = _direct._op

@@ -246,3 +246,18 @@ def test_a_failing_selftest_names_its_schedule(monkeypatch, capsys):
     assert "  schedule (" in out
     assert "    injected problem" in out
     assert out.endswith("selftest FAILED\n")
+
+
+def test_schedules_counts_the_failures_it_does_not_show(monkeypatch, capsys):
+    def broken(*_):
+        return ["injected problem"]
+
+    row = scenarios.Scenario(scenarios._begin_race_setup, broken)
+    monkeypatch.setitem(scenarios.SCENARIOS, "broken", row)
+    assert main(["schedules", "broken"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("broken: 20 schedules, FAILED, ")
+    # ten failing schedules of two lines each, then the count of the rest
+    assert [line[:11] for line in lines[1:21:2]] == ["  schedule "] * 10
+    assert lines[2:21:2] == ["    injected problem"] * 10
+    assert lines[21:] == ["  ... 10 more failing schedules"]

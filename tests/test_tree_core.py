@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lftree import sim
+from lftree import harness, sim
 from lftree import tree as tree_mod
 from lftree.keyspace import (DEAD, EMPTY, MAX_KEY, MIN_KEY, PAYLOAD_MASK,
                              RO_BIT, encode)
 from lftree.nodes import (FROZEN, IDLE, PREP, SWAP, InternalNode, LeafNode,
                           TreeConfig, new_tree_root, node_search)
 from lftree.tree import LeafTree
+from lftree.verify import INSERT, REMOVE, SEARCH
 from reference import (build_flat, check_structure_by_walk, leaf_key_sets,
                        padded_leaf, scan_by_definition)
 
@@ -61,6 +62,34 @@ def test_tree_takes_only_a_tree_config(config):
 
 def test_tree_defaults_its_config():
     assert LeafTree().config == LeafTree(None).config == TreeConfig()
+
+
+def test_every_public_op_enters_through_the_op_core(monkeypatch):
+    # one entry: a wrap of the yield-free _op sees every threaded op once
+    calls = []
+    core = tree_mod._op_direct
+
+    def recording(tree, kind, e1, e2):
+        calls.append(kind)
+        return core(tree, kind, e1, e2)
+
+    monkeypatch.setattr(tree_mod, "_op_direct", recording)
+    tree = LeafTree(TreeConfig(3, 4, 2))
+    steps = [
+        (lambda: tree.insert(5), INSERT, True),
+        (lambda: tree.insert(5), INSERT, False),
+        (lambda: tree.search(5), SEARCH, 5),
+        (lambda: tree.search(1, 9), SEARCH, 5),
+        (lambda: tree.remove(1, 9), REMOVE, 5),
+        (lambda: harness._apply(tree, INSERT, 7, 7), INSERT, 1),
+        (lambda: harness._apply(tree, SEARCH, 1, 9), SEARCH, 7),
+        (lambda: harness._apply(tree, REMOVE, 7, 7), REMOVE, 7),
+    ]
+    for call, kind, want in steps:
+        calls.clear()
+        got = call()
+        assert calls == [kind]
+        assert got == want and type(got) is type(want)
 
 
 def test_node_search_ties_go_left():
