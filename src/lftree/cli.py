@@ -17,10 +17,9 @@ import contextlib
 import sys
 import time
 
-from . import harness, scenarios
+from . import harness, scenarios, tree
 from .keyspace import _exact_int
 from .nodes import TreeConfig
-from .tree import LeafTree, _op_direct
 from .verify import (SetOracle, TraceError, check_history, progress_audit,
                      read_trace, write_trace)
 
@@ -174,9 +173,10 @@ def cmd_selftest(args) -> int:
     oracle = SetOracle()
     cfg = harness.RunConfig(order=5, leaf_capacity=8, min_size=3, threads=1,
                             ops_per_thread=3000, key_range=512, seed=11)
-    tree = LeafTree(cfg.tree_config())
+    serial = tree.LeafTree(cfg.tree_config())
     for kind, e1, e2 in harness.make_ops(cfg, 0):
-        got = _op_direct(tree, kind, e1, e2)
+        # through the module, so one wrap of tree._op_direct sees every op
+        got = tree._op_direct(serial, kind, e1, e2)
         want = oracle.apply(kind, e1, e2)
         if got != want:
             print(f"serial mismatch: {kind} [{e1},{e2}] -> {got}, "
@@ -185,7 +185,7 @@ def cmd_selftest(args) -> int:
             break
     else:
         print(f"serial oracle: {cfg.ops_per_thread} ops exact")
-    if tree.snapshot() != oracle.keys():
+    if serial.snapshot() != oracle.keys():
         print("serial snapshot mismatch")
         failed = True
 

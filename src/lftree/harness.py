@@ -3,14 +3,15 @@
 A stress run builds a tree, gives each real thread its own seeded
 workload, runs to quiesce, and then verifies everything that is checkable
 after the fact: recorded history against the interval contracts, the
-final snapshot against the net insert/remove balance, and the structural
-invariants. Workloads are pregenerated (`make_ops`, from the rng's
-random() and getrandbits() alone) so the timed loop does nothing but
-operations and record appends; with a duration set, each thread cycles
-its workload until the deadline. Stress and bench run the same loop
-(`_run`), each op through the tree's public methods (`_apply`), which
-perfbench's tracer and fault injection wrap; bench only counts
-operations instead of recording them.
+final snapshot (a plain read: a duplicated key is listed twice) against
+the net insert/remove balance, and the structural invariants, which name
+a duplicate's key and leaves. Workloads are pregenerated (`make_ops`,
+from the rng's random() and getrandbits() alone) so the timed loop does
+nothing but operations and record appends; with a duration set, each
+thread cycles its workload until the deadline. Stress and bench run the
+same loop (`_run`), each op through the tree's public methods
+(`_apply`), which perfbench's tracer and fault injection wrap; bench
+only counts operations instead of recording them.
 
 Thread 0 runs on the calling thread and threads 1..n-1 beside it; a
 thread that raises fails the run once every thread has joined. A lone
@@ -183,11 +184,7 @@ def run_stress(cfg: RunConfig, check: bool = True) -> StressResult:
     records.sort(key=itemgetter(4, 5, 0))   # (t1, t2, tid)
 
     structure = tree.check_structure()
-    try:
-        snapshot = tree.snapshot()
-    except ValueError as exc:
-        snapshot = []
-        structure.append(str(exc))
+    snapshot = tree.snapshot()
     history = check_history(records) if check else []
     balance = snapshot_consistent(records, snapshot) if check else []
     return StressResult(cfg, records, snapshot, structure, history, balance,

@@ -90,8 +90,8 @@ class Violation:
         r = self.record
         if r is None:
             return f"{self.rule}: {self.detail}"
-        try:  # any 7 fields print as OpRecord.line, anything else by repr
-            loc = OpRecord._make(r).line()
+        try:  # any 7 fields print as a trace row, anything else by repr
+            loc = _line(*r)
         except TypeError:
             loc = repr(r)
         return f"{self.rule}: {self.detail} [{loc}]"
@@ -452,8 +452,7 @@ def progress_audit(records: list[OpRecord], window: int,
         ran = r[5] - r[4]
         if ran > window:
             if count < keep:
-                reports.append(f"op ran {ran} > {window}: "
-                               f"{OpRecord._make(r).line()}")
+                reports.append(f"op ran {ran} > {window}: {_line(*r)}")
             count += 1
     responses = sorted(r[5] for r in records)
     spans = sorted(map(_INTERVAL, records))

@@ -1,12 +1,16 @@
 """CLI surface: subcommands, exit codes (0 pass, 1 violation, 2 usage or
 config, 3 I/O), and the stress -> check pipeline."""
 
+import dataclasses
 import re
 
 import pytest
 
 from lftree import cli, harness, scenarios
+from lftree import tree as tree_mod
 from lftree.cli import main
+from lftree.keyspace import EMPTY
+from lftree.nodes import TreeConfig
 from lftree.verify import OpRecord, SEARCH, write_trace
 
 STRESS_SMALL = ["stress", "--threads", "1", "--ops", "2000",
@@ -234,6 +238,25 @@ def test_selftest_smoke(capsys):
     assert lines[-2:] == ["all checks passed", "selftest passed"]
 
 
+def test_one_wrap_of_the_op_core_sees_selftests_serial_ops(monkeypatch,
+                                                           capsys):
+    # selftest reaches tree._op_direct through the module, so a wrap of it
+    # sees the serial-oracle ops on selftest's K=5, D=8, S=3 tree
+    serial = TreeConfig(5, 8, 3)
+    direct = tree_mod._op_direct
+    calls = []
+
+    def counting(t, kind, e1, e2):
+        if t.config == serial:
+            calls.append(kind)
+        return direct(t, kind, e1, e2)
+
+    monkeypatch.setattr(tree_mod, "_op_direct", counting)
+    assert main(["selftest"]) == 0
+    assert len(calls) == 3000
+    capsys.readouterr()
+
+
 def test_a_failing_selftest_names_its_schedule(monkeypatch, capsys):
     def broken(*_):
         return ["injected problem"]
@@ -246,6 +269,28 @@ def test_a_failing_selftest_names_its_schedule(monkeypatch, capsys):
     assert "  schedule (" in out
     assert "    injected problem" in out
     assert out.endswith("selftest FAILED\n")
+
+
+def test_schedules_shows_a_schedule_that_leaves_a_duplicate(monkeypatch,
+                                                           capsys):
+    # help-prep's split leaves [10, 20] and [30, 40]; with 10 copied into
+    # the second, the snapshot lists it twice, so the row's own check fails
+    # the schedule with a snapshot mismatch and the structure finding
+    help_prep = scenarios.SCENARIOS["help-prep"]
+
+    def duplicating(tree, threads, schedule):
+        first, last = [leaf for leaf, _, _ in tree.leaves()]
+        last.slots[last.slots.index(EMPTY)] = first.slots[0]
+        return help_prep.check(tree, threads, schedule)
+
+    row = dataclasses.replace(help_prep, check=duplicating)
+    monkeypatch.setitem(scenarios.SCENARIOS, "duplicating", row)
+    assert main(["schedules", "duplicating"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("duplicating: 1024 schedules, FAILED, ")
+    assert "  schedule (" in out
+    assert "    snapshot [10, 10, 20, 30, 40], wanted [10, 20, 30, 40]" in out
+    assert "in two leaves" in out
 
 
 def test_schedules_counts_the_failures_it_does_not_show(monkeypatch, capsys):

@@ -20,7 +20,7 @@ from lftree.harness import (
     run_bench,
     run_stress,
 )
-from lftree.keyspace import MAX_KEY
+from lftree.keyspace import EMPTY, MAX_KEY, RO_BIT
 from lftree.nodes import TreeConfig
 from lftree.tree import LeafTree, _op
 from lftree.verify import INSERT, REMOVE, SEARCH, SetOracle, write_trace
@@ -277,6 +277,34 @@ def test_threaded_run_checks_clean():
         assert len(mine) == 3000
         for prev, cur in zip(mine, mine[1:]):
             assert prev.t1 < prev.t2 <= cur.t1
+
+
+def test_a_duplicate_is_reported_once_by_each_judge(monkeypatch):
+    # The snapshot only reads the leaves: check_structure names the key and
+    # its leaves, the balance check flags the snapshot once and reconciles
+    # every key as before, and the snapshot still lists what is left.
+    duplicated = []
+
+    class Duplicating(LeafTree):
+        def check_structure(self):
+            leaves = [leaf for leaf, _, _ in self.leaves()]
+            key = next(w for leaf in leaves for w in leaf.slots
+                       if 0 < w < RO_BIT)
+            target = next(leaf for leaf in leaves
+                          if key not in leaf.slots and EMPTY in leaf.slots)
+            target.slots[target.slots.index(EMPTY)] = key
+            duplicated.append(key)
+            return super().check_structure()
+
+    monkeypatch.setattr(harness, "LeafTree", Duplicating)
+    result = run_stress(small(order=4, leaf_capacity=4, min_size=2,
+                              key_range=256))
+    key, = duplicated
+    assert f"key {key} in two leaves" in result.structure_violations
+    assert result.balance_problems == ["snapshot contains duplicates"]
+    assert result.snapshot.count(key) == 2
+    assert len(set(result.snapshot)) == len(result.snapshot) - 1
+    assert not result.ok
 
 
 def test_key_range_up_to_the_largest_key_runs():

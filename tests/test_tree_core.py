@@ -12,7 +12,7 @@ from lftree.keyspace import (DEAD, EMPTY, MAX_KEY, MIN_KEY, PAYLOAD_MASK,
 from lftree.nodes import (FROZEN, IDLE, PREP, SWAP, InternalNode, LeafNode,
                           TreeConfig, new_tree_root, node_search)
 from lftree.tree import LeafTree
-from lftree.verify import INSERT, REMOVE, SEARCH
+from lftree.verify import INSERT, REMOVE, SEARCH, snapshot_consistent
 from reference import (build_flat, check_structure_by_walk, leaf_key_sets,
                        padded_leaf, scan_by_definition)
 
@@ -215,12 +215,17 @@ def test_check_structure_flags_uneven_leaf_depth():
     assert any("different depths" in b for b in tree.check_structure())
 
 
-def test_snapshot_raises_on_duplicate():
+def test_a_duplicate_is_listed_by_snapshot_and_judged_by_the_checks():
     tree = build_flat(TreeConfig(3, 4, 2), [[1, 2], [5, 7]])
     inner = tree.root.children[0]
     inner.children[1].slots[3] = encode(2)
-    with pytest.raises(ValueError):
-        tree.snapshot()
+    assert any("key 2 in two leaves" in b for b in tree.check_structure())
+    snap = tree.snapshot()  # a plain read: the key is listed twice
+    assert snap == [1, 2, 2, 5, 7]
+    records = [(0, INSERT, k, k, t, t + 1, 1)
+               for t, k in enumerate([1, 2, 5, 7])]
+    assert snapshot_consistent(records, snap) == [
+        "snapshot contains duplicates"]
 
 
 def test_dead_slots_are_invisible():
@@ -386,11 +391,7 @@ def test_check_structure_matches_the_recursive_walk(cfg, ops, corruptions,
     if len(corrupted) == 1:  # a second corruption may mend the first
         assert bool(got) == corrupted[0]
     keys = sorted(k for leaf in leaf_key_sets(tree) for k in leaf)
-    if len(set(keys)) == len(keys):
-        assert tree.snapshot() == keys
-    else:
-        with pytest.raises(ValueError, match="duplicate key"):
-            tree.snapshot()
+    assert tree.snapshot() == keys  # a duplicated key listed twice
 
 
 def test_check_structure_reports_every_corruption_kind():

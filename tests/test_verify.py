@@ -615,6 +615,23 @@ def test_snapshot_mismatches(snapshot, needle):
     assert any(needle in p for p in problems)
 
 
+def test_a_duplicate_in_the_snapshot_is_reported_once():
+    recs = [
+        OpRecord(0, INSERT, 5, 5, 0, 1, 1),
+        OpRecord(0, INSERT, 6, 6, 2, 3, 1),
+        OpRecord(0, INSERT, 7, 7, 4, 5, 1),
+        OpRecord(0, REMOVE, 7, 7, 6, 7, 7),
+    ]
+    # every other key is judged as before: 6 missing, 7 still present
+    assert snapshot_consistent(recs, [5, 5, 7, 7, 7]) == [
+        "snapshot contains duplicates",
+        "key 6 inserted but missing from snapshot",
+        "key 7 removed but still in snapshot",
+    ]
+    assert snapshot_consistent(recs, [5, 5, 6]) == [
+        "snapshot contains duplicates"]
+
+
 def test_snapshot_flags_removed_key_still_present():
     recs = [
         OpRecord(0, INSERT, 5, 5, 0, 1, 1),
@@ -696,9 +713,9 @@ def test_progress_audit_formats_only_the_kept_reports(monkeypatch):
     want = reference.progress_audit_by_scan(records, 1)
     assert len(want) > len(records) > 10
     lines = []
-    line = OpRecord.line
-    monkeypatch.setattr(OpRecord, "line",
-                        lambda r: lines.append(r) or line(r))
+    line = verify._line
+    monkeypatch.setattr(verify, "_line",
+                        lambda *r: lines.append(r) or line(*r))
     assert progress_audit(records, 1, keep=10) == (len(want), want[:10])
     assert len(lines) == 10
 
